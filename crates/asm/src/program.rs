@@ -1,5 +1,7 @@
 //! The [`Program`] container: a resolved, immutable instruction sequence.
 
+use std::sync::OnceLock;
+
 use mtsim_isa::{Inst, LabelId, Pc, Target};
 
 /// A finished program: instructions with all branch targets resolved to
@@ -8,11 +10,33 @@ use mtsim_isa::{Inst, LabelId, Pc, Target};
 /// Produced by [`crate::ProgramBuilder::finish`] or by
 /// [`Program::from_raw_parts`] (used by the optimizer, which rewrites
 /// instruction sequences).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Clone)]
 pub struct Program {
     name: String,
     insts: Vec<Inst>,
     local_words: u64,
+    /// [`Program::content_hash`], computed on first use. Derived from
+    /// `insts`, which never change after construction, so it is left out
+    /// of equality and `Debug`.
+    hash: OnceLock<u64>,
+}
+
+impl PartialEq for Program {
+    fn eq(&self, other: &Program) -> bool {
+        self.name == other.name
+            && self.insts == other.insts
+            && self.local_words == other.local_words
+    }
+}
+
+impl std::fmt::Debug for Program {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Program")
+            .field("name", &self.name)
+            .field("insts", &self.insts)
+            .field("local_words", &self.local_words)
+            .finish()
+    }
 }
 
 impl Program {
@@ -39,7 +63,7 @@ impl Program {
             }
         }
         assert!(insts.iter().any(|i| matches!(i, Inst::Halt)), "program {name} contains no Halt");
-        Program { name, insts, local_words: 0 }
+        Program { name, insts, local_words: 0, hash: OnceLock::new() }
     }
 
     /// Resolves labels against a label table (`labels[id] = pc`) and builds
@@ -111,6 +135,18 @@ impl Program {
         self.insts.iter().filter(|i| matches!(i, Inst::Switch)).count()
     }
 
+    /// A 64-bit FNV-1a hash of the [listing](Program::listing): the code
+    /// only, without the name or [`Program::local_words`]. Computed once
+    /// per program and then read back, so artifact caches can key by
+    /// content without formatting the program on every lookup.
+    pub fn content_hash(&self) -> u64 {
+        *self.hash.get_or_init(|| {
+            self.listing().bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+                (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+            })
+        })
+    }
+
     /// A human-readable listing, one instruction per line with pc prefixes.
     pub fn listing(&self) -> String {
         use std::fmt::Write as _;
@@ -157,9 +193,26 @@ mod tests {
     #[test]
     fn program_is_send_and_sync() {
         // The sweep engine shares one built `Program` across worker threads
-        // behind an `Arc`; this must not regress to interior mutability.
+        // behind an `Arc`; its only interior mutability is the
+        // thread-safe content-hash cell.
         fn assert_send_sync<T: Send + Sync>() {}
         assert_send_sync::<Program>();
+    }
+
+    #[test]
+    fn content_hash_covers_code_only_and_stays_out_of_equality() {
+        let code = || vec![Inst::Nop, Inst::Halt];
+        let a = Program::from_raw_parts("a", code());
+        let b = Program::from_raw_parts("b", code()).with_local_words(8);
+        assert_eq!(a.content_hash(), b.content_hash(), "name and local words are not code");
+        let c = Program::from_raw_parts("a", vec![Inst::Halt]);
+        assert_ne!(a.content_hash(), c.content_hash());
+        // A computed hash neither shows in `Debug` nor breaks equality
+        // with a copy that has not computed it yet.
+        let fresh = Program::from_raw_parts("a", code());
+        assert_eq!(a, fresh);
+        assert_eq!(format!("{a:?}"), format!("{fresh:?}"));
+        assert!(!format!("{a:?}").contains("hash"));
     }
 
     #[test]

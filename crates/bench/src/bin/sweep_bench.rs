@@ -45,11 +45,8 @@ fn main() {
     // job to a fsync'd checkpoint (DESIGN.md §18). The overhead budget is
     // generous — one sealed line + fdatasync per job — but tracking it
     // keeps the "streaming is effectively free" claim honest.
-    let ckpt = {
-        let mut p = std::env::temp_dir();
-        p.push(format!("mtsim-sweep-bench-{}.jsonl", std::process::id()));
-        p.to_string_lossy().into_owned()
-    };
+    let ckpt_dir = mtsim_sweep::unique_temp_dir("sweep-bench").expect("create a temp dir");
+    let ckpt = ckpt_dir.join("ckpt.jsonl").to_string_lossy().into_owned();
     let streamed = run_sweep(
         &spec,
         &SweepOpts {
@@ -65,7 +62,7 @@ fn main() {
         streamed.results_json(),
         "streamed sweep diverged from the serial result table"
     );
-    std::fs::remove_file(&ckpt).ok();
+    std::fs::remove_dir_all(&ckpt_dir).ok();
 
     let serial_s = serial.wall.as_secs_f64();
     let parallel_s = parallel.wall.as_secs_f64();

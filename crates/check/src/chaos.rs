@@ -17,8 +17,8 @@ use mtsim_apps::{AppKind, Scale};
 use mtsim_core::SwitchModel;
 use mtsim_rng::Rng;
 use mtsim_sweep::{
-    load_checkpoint, resume_sweep, run_sweep, ArtifactCache, ChaosPlan, SweepError, SweepOpts,
-    SweepSpec,
+    load_checkpoint, resume_sweep, run_sweep, unique_temp_dir, ArtifactCache, ChaosPlan,
+    SweepError, SweepOpts, SweepSpec,
 };
 
 /// Configuration for a chaos campaign.
@@ -96,10 +96,16 @@ fn chaos_grid() -> SweepSpec {
     }
 }
 
+/// A checkpoint path in a directory of its own; [`discard`] removes both.
 fn temp_ckpt(tag: &str) -> String {
-    let mut p = std::env::temp_dir();
-    p.push(format!("mtsim-chaos-{}-{tag}.jsonl", std::process::id()));
-    p.to_string_lossy().into_owned()
+    let dir = unique_temp_dir(&format!("chaos-{tag}")).expect("create a chaos temp dir");
+    dir.join("ckpt.jsonl").to_string_lossy().into_owned()
+}
+
+fn discard(ckpt: &str) {
+    if let Some(dir) = std::path::Path::new(ckpt).parent() {
+        std::fs::remove_dir_all(dir).ok();
+    }
 }
 
 fn opts(workers: usize, stream: Option<String>, cache: &Arc<ArtifactCache>) -> SweepOpts {
@@ -197,7 +203,7 @@ pub fn chaos(cfg: ChaosConfig) -> ChaosSummary {
                     .push(format!("trial {trial}: panic injection aborted the sweep: {e}")),
             }
         }
-        std::fs::remove_file(&path).ok();
+        discard(&path);
     }
 
     summary.failures.extend(corruption_cases(&spec, &cache, &mut summary.corruption_cases));
@@ -339,7 +345,7 @@ fn corruption_cases(
         )),
     }
 
-    std::fs::remove_file(&path).ok();
+    discard(&path);
     failures
 }
 

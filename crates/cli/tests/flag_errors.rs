@@ -221,8 +221,7 @@ fn replay_synth_runs_and_verifies() {
 #[test]
 fn replay_trace_file_round_trips_and_sizes_the_machine() {
     // Three threads with gappy ids; -t defaults to ceil(3 / 2) = 2.
-    let dir = std::env::temp_dir().join(format!("mtsim-replay-cli-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
+    let dir = mtsim_sweep::unique_temp_dir("replay-cli").unwrap();
     let path = dir.join("tiny.trace");
     std::fs::write(&path, "0 0 0 w 5\n1 0 7 fa 5\n2 1 9 r 5\n3 1 9 wp 6\n").unwrap();
     let out = mtsim(&["replay", path.to_str().unwrap(), "-p", "2"]);

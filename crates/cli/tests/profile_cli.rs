@@ -35,8 +35,7 @@ fn stats_reports_exact_percentiles_under_constant_latency() {
 
 #[test]
 fn profile_writes_a_loadable_trace_and_prints_the_flame_table() {
-    let dir = std::env::temp_dir().join(format!("mtsim_profile_cli_{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
+    let dir = mtsim_sweep::unique_temp_dir("profile-cli").unwrap();
     let trace = dir.join("trace.json");
     let trace_path = trace.to_str().unwrap();
 

@@ -10,10 +10,7 @@ use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
 fn tmp_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("mtsim-serve-cli-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
+    mtsim_sweep::unique_temp_dir(&format!("serve-cli-{tag}")).unwrap()
 }
 
 /// Starts `mtsim serve --port 0` and parses the bound address off
@@ -39,6 +36,7 @@ fn spawn_server(state_dir: &Path) -> (Child, String) {
 /// One HTTP exchange; returns (status, body).
 fn http(addr: &str, raw: &str) -> (u16, Vec<u8>) {
     let mut conn = TcpStream::connect(addr).expect("connect");
+    conn.set_read_timeout(Some(Duration::from_secs(30))).expect("set read timeout");
     conn.write_all(raw.as_bytes()).expect("write");
     let mut raw = Vec::new();
     let mut buf = [0u8; 4096];

@@ -193,7 +193,13 @@ impl DecodedProgram {
     /// and paid once — the engine never calls the per-instruction ISA
     /// queries again.
     pub fn decode(program: &Program) -> DecodedProgram {
-        let insts: Arc<[DInst]> = program.insts().iter().map(|&i| DInst::decode(i)).collect();
+        DecodedProgram::from_insts(program.insts().iter().map(|&i| DInst::decode(i)).collect())
+    }
+
+    /// Builds the table from already-decoded instructions. The engine
+    /// trusts every field as given, so this is for hand-made tables —
+    /// e.g. tests giving an instruction a cost no ISA instruction has.
+    pub fn from_insts(insts: Arc<[DInst]>) -> DecodedProgram {
         // Suffix scan: run lengths chain backward over straight-line
         // instructions and reset to zero at every block boundary.
         let mut straight = vec![0u32; insts.len()];

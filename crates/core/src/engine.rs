@@ -112,6 +112,9 @@ pub struct Machine {
     /// default) costs one predictable branch per step; a supervisor that
     /// sets the flag turns the run into [`SimError::Cancelled`].
     cancel: Option<std::sync::Arc<std::sync::atomic::AtomicBool>>,
+    /// The SMT issue loop's per-cycle ready list, owned here so the scan
+    /// that fills it once per simulated cycle allocates only on first use.
+    smt_ready: Vec<usize>,
 }
 
 /// A completed run: statistics plus the final shared-memory image (for
@@ -330,6 +333,7 @@ impl Machine {
             fault,
             net,
             cancel: None,
+            smt_ready: Vec::new(),
         };
         Ok((machine, reused))
     }
@@ -479,20 +483,27 @@ impl Machine {
                 // SMT accounting law (DESIGN.md §22): the per-thread wait
                 // categories do not exist (nothing yields), so the only
                 // per-thread charge is Busy — one slot-cycle per issued
-                // cost cycle. The residual W×finish − busy is the
-                // processor's unfilled issue slots; end-of-run slack is
-                // still whole-processor idle, scaled by W in the
-                // conservation law, not here.
+                // cost cycle of lane occupancy, which excludes each
+                // thread's final `Halt` (it frees its lane at issue). The
+                // residual W×finish − occupied is the processor's
+                // unfilled issue slots; end-of-run slack is still
+                // whole-processor idle, scaled by W in the conservation
+                // law, not here.
                 let w = self.config.issue_width as u64;
+                let tpp = self.config.threads_per_proc;
                 rec.set_issue_width(w);
                 for (p, proc) in self.procs.iter().enumerate() {
+                    let halts: u64 = self.threads.cold[p * tpp..(p + 1) * tpp]
+                        .iter()
+                        .map(|th| self.decoded.inst(th.pc as usize - 1).cost as u64)
+                        .sum();
+                    let occupied = proc.stats.busy - halts;
                     debug_assert!(
-                        w * proc.stats.finish_time >= proc.stats.busy,
-                        "smt lane overflow: busy {} > {w} lanes × finish {}",
-                        proc.stats.busy,
+                        w * proc.stats.finish_time >= occupied,
+                        "smt lane overflow: {occupied} lane-cycles > {w} lanes × finish {}",
                         proc.stats.finish_time
                     );
-                    let slots = (w * proc.stats.finish_time).saturating_sub(proc.stats.busy);
+                    let slots = (w * proc.stats.finish_time).saturating_sub(occupied);
                     rec.charge_issue_idle(p, slots);
                     rec.charge_idle(p, cycles - proc.stats.finish_time);
                 }
@@ -737,22 +748,16 @@ impl Machine {
                             continue;
                         }
                     }
-                    let pc0 = th.pc;
-                    let c = di.cost as u64;
-                    time += c;
-                    busy += c;
                     steps += 1;
-                    th.run_cycles += c;
-                    th.pc += 1;
-                    if di.resets_spin() {
-                        th.reset_spin();
-                    }
-                    if !th.pending.is_empty() {
-                        th.kill_pending_masks(di.int_def, di.fp_def_mask);
-                    }
-                    if let Err(e) = exec_local(di, th, tid, pc0) {
-                        fast_err = Some(e);
-                        break;
+                    match issue_local(di, th, tid) {
+                        Ok(c) => {
+                            time += c;
+                            busy += c;
+                        }
+                        Err(e) => {
+                            fast_err = Some(e);
+                            break;
+                        }
                     }
                 }
                 if steps > 0 {
@@ -834,10 +839,18 @@ impl Machine {
             }
 
             // Execute one instruction.
-            let outcome = exec(
-                config, di, p, tid, ths, proc, shared, caches, traffic, counters, trace, fault,
-                net, rec,
-            )?;
+            let outcome = if LOCAL_ISSUE && !R::ENABLED && di.is_local_exec() {
+                let c = issue_local(di, &mut ths.cold[tid], tid)?;
+                proc.time += c;
+                proc.stats.busy += c;
+                counters.instructions += 1;
+                Outcome::Continue
+            } else {
+                exec(
+                    config, di, p, tid, ths, proc, shared, caches, traffic, counters, trace, fault,
+                    net, rec,
+                )?
+            };
             // A spin loop was just proven periodic: if every live thread
             // is in that state (and has seen the latest mutation), nobody
             // can ever write the words they wait on — a real deadlock.
@@ -904,6 +917,13 @@ impl Machine {
     /// cost, and the scheduler queue is never touched (residents stay
     /// parked in `queue`; `current` stays `None`).
     ///
+    /// One scan per cycle: issuing updates the scan's busy-lane count,
+    /// earliest wake and live count in place, which is exactly what a
+    /// rescan at the same `now` would find — unless an issue cost 0
+    /// cycles (its thread competes again this cycle) or a `Halt` freed a
+    /// lane while ready threads still wait; only then does the cycle scan
+    /// again.
+    ///
     /// Time only advances in the wait path (no ready thread or no free
     /// lane), jumping straight to the earliest wake/scoreboard-ready time,
     /// so `proc.stats.idle` is never charged mid-run: a gap with no ready
@@ -929,12 +949,13 @@ impl Machine {
         let fault = &mut self.fault;
         let net = &mut self.net;
         let cancel = self.cancel.as_deref();
+        let ready = &mut self.smt_ready;
         let proc = &mut self.procs[p];
 
         let tpp = config.threads_per_proc;
         let lo = p * tpp;
+        let hi = lo + tpp;
         let width = config.issue_width;
-        let mut ready: Vec<usize> = Vec::with_capacity(tpp);
 
         #[cfg(feature = "debug-invariants")]
         let mut last_time = proc.time;
@@ -974,8 +995,10 @@ impl Machine {
             let mut busy_lanes = 0usize;
             let mut earliest = u64::MAX;
             let mut live = 0usize;
-            for k in 0..tpp {
-                let tid = lo + (proc.rr + k) % tpp;
+            let mut next = lo + proc.rr;
+            for _ in 0..tpp {
+                let tid = next;
+                next = if next + 1 == hi { lo } else { next + 1 };
                 if ths.halted[tid] {
                     continue;
                 }
@@ -1013,80 +1036,100 @@ impl Machine {
                 ready.push(tid);
             }
 
+            if !ready.is_empty() && busy_lanes < width {
+                // Issue phase: up to `width − busy_lanes` ready threads
+                // execute this cycle. The scan order already rotates via
+                // the cursor; priority scheduling (§6.2) promotes
+                // critical-region threads first (stable sort keeps the
+                // round-robin order within a level).
+                if config.priority_scheduling {
+                    ready.sort_by_key(|&t| std::cmp::Reverse(ths.prio[t]));
+                }
+                let issued = ready.len().min(width - busy_lanes);
+                let mut rescan = false;
+                for &tid in &ready[..issued] {
+                    let di = decoded.inst(ths.cold[tid].pc as usize);
+                    let cost = di.cost as u64;
+                    let outcome = if LOCAL_ISSUE && !R::ENABLED && di.is_local_exec() {
+                        issue_local(di, &mut ths.cold[tid], tid)?;
+                        proc.stats.busy += cost;
+                        counters.instructions += 1;
+                        Outcome::Continue
+                    } else {
+                        let outcome = exec(
+                            config, di, p, tid, ths, proc, shared, caches, traffic, counters,
+                            trace, fault, net, rec,
+                        )?;
+                        // `exec` advanced the clock by `cost` (the
+                        // switching models' serial semantics); SMT lanes
+                        // run concurrently, so the cycle stays at `now`
+                        // and the drain is tracked per thread through
+                        // its wake time instead.
+                        proc.time = now;
+                        outcome
+                    };
+                    ths.wake[tid] = now + cost;
+                    if counters.spin_confirm {
+                        counters.spin_confirm = false;
+                        if let Some(err) = detect_deadlock(ths, tpp, counters.mutations, now) {
+                            return Err(err);
+                        }
+                    }
+                    match outcome {
+                        // The issuer now holds a lane until `now + cost`;
+                        // a 0-cycle issue leaves it free to compete again.
+                        Outcome::Continue if cost == 0 => rescan = true,
+                        Outcome::Continue => {
+                            busy_lanes += 1;
+                            earliest = earliest.min(now + cost);
+                        }
+                        Outcome::Halt => {
+                            let th = &mut ths.cold[tid];
+                            if th.run_cycles > 0 {
+                                run_lengths.record(th.run_cycles);
+                                rec.sample(Metric::RunLength, th.run_cycles);
+                                th.run_cycles = 0;
+                            }
+                            ths.halted[tid] = true;
+                            live -= 1;
+                            rec.event(now, p, tid, EventKind::Halt);
+                        }
+                        Outcome::Yield { .. } => {
+                            unreachable!("the smt model never yields a context")
+                        }
+                    }
+                }
+                // Fairness: start the next cycle's scan just past this
+                // cycle's first issuer.
+                proc.rr = (ready[0] - lo + 1) % tpp;
+                // A halted issuer frees its lane at once: a ready thread
+                // left waiting may take it in this same cycle.
+                if rescan || (ready.len() > issued && busy_lanes < width) {
+                    continue;
+                }
+            }
+
             if live == 0 {
                 // All residents halted. The drain time of the last issued
                 // instructions (their wake times) is part of the run, just
                 // as the switching models' `proc.time += cost` on the halt
                 // instruction is.
-                let drain = (lo..lo + tpp).map(|t| ths.wake[t]).max().unwrap_or(now).max(now);
+                let drain = ths.wake[lo..hi].iter().copied().max().unwrap_or(now).max(now);
                 proc.time = drain;
                 proc.stats.finish_time = drain;
                 return Ok(StepOut::Done);
             }
 
-            let avail = width.saturating_sub(busy_lanes);
-            if ready.is_empty() || avail == 0 {
-                // Nothing can issue this cycle: jump to the earliest lane
-                // drain or scoreboard arrival. Live threads guarantee the
-                // bound is finite (a live thread is busy, blocked on a
-                // finite reply, or ready — and ready is only unusable when
-                // busy lanes exist).
-                debug_assert!(earliest != u64::MAX, "smt wait with nothing to wait for");
-                proc.time = earliest;
-                if earliest > peek {
-                    return Ok(StepOut::Reschedule(earliest));
-                }
-                continue;
+            // Nothing (more) can issue this cycle: jump to the earliest
+            // lane drain or scoreboard arrival. Live threads guarantee the
+            // bound is finite (a live thread is busy, blocked on a finite
+            // reply, or ready — and ready is only unusable when every lane
+            // is busy).
+            debug_assert!(earliest != u64::MAX, "smt wait with nothing to wait for");
+            proc.time = earliest;
+            if earliest > peek {
+                return Ok(StepOut::Reschedule(earliest));
             }
-
-            // Issue phase: up to `avail` ready threads execute this cycle.
-            // The scan order already rotates via the cursor; priority
-            // scheduling (§6.2) promotes critical-region threads first
-            // (stable sort keeps the round-robin order within a level).
-            if config.priority_scheduling {
-                ready.sort_by_key(|&t| std::cmp::Reverse(ths.prio[t]));
-            }
-            let first = ready[0];
-            for &tid in ready.iter().take(avail) {
-                let pc = ths.cold[tid].pc;
-                let di = decoded.inst(pc as usize);
-                let cost = di.cost as u64;
-                let outcome = exec(
-                    config, di, p, tid, ths, proc, shared, caches, traffic, counters, trace, fault,
-                    net, rec,
-                )?;
-                // `exec` advanced the clock by `cost` (the switching
-                // models' serial semantics); SMT lanes run concurrently,
-                // so the cycle stays at `now` and the drain is tracked per
-                // thread through its wake time instead.
-                proc.time = now;
-                ths.wake[tid] = now + cost;
-                if counters.spin_confirm {
-                    counters.spin_confirm = false;
-                    if let Some(err) = detect_deadlock(ths, tpp, counters.mutations, now) {
-                        return Err(err);
-                    }
-                }
-                match outcome {
-                    Outcome::Continue => {}
-                    Outcome::Halt => {
-                        let th = &mut ths.cold[tid];
-                        if th.run_cycles > 0 {
-                            run_lengths.record(th.run_cycles);
-                            rec.sample(Metric::RunLength, th.run_cycles);
-                            th.run_cycles = 0;
-                        }
-                        ths.halted[tid] = true;
-                        rec.event(now, p, tid, EventKind::Halt);
-                    }
-                    Outcome::Yield { .. } => {
-                        unreachable!("the smt model never yields a context")
-                    }
-                }
-            }
-            // Fairness: start the next cycle's scan just past this
-            // cycle's first issuer.
-            proc.rr = (first - lo + 1) % tpp;
         }
     }
 }
@@ -1255,12 +1298,37 @@ fn assert_step_invariants(p: usize, proc: &Proc, ths: &Threads, config: &Machine
     }
 }
 
+/// Whether the non-recording paths issue local-only instructions through
+/// [`issue_local`] rather than [`exec`]. Off under `debug-invariants`, so
+/// the strict build runs every instruction through `exec`.
+const LOCAL_ISSUE: bool = cfg!(not(feature = "debug-invariants"));
+
+/// Issues one *local-only* instruction ([`DInst::is_local_exec`]) on
+/// thread `tid`: `exec`'s preamble — cost, pc, spin reset, register
+/// kill — then [`exec_local`], without `exec`'s recorder, memory and
+/// network arguments. Returns the instruction's cost; the caller charges
+/// it to its processor (clock, `busy`) and counts the instruction.
+#[inline]
+fn issue_local(di: &DInst, th: &mut Thread, tid: usize) -> Result<u64, SimError> {
+    let pc0 = th.pc;
+    let c = di.cost as u64;
+    th.run_cycles += c;
+    th.pc += 1;
+    if di.resets_spin() {
+        th.reset_spin();
+    }
+    if !th.pending.is_empty() {
+        th.kill_pending_masks(di.int_def, di.fp_def_mask);
+    }
+    exec_local(di, th, tid, pc0)?;
+    Ok(c)
+}
+
 /// Executes one *local-only* instruction ([`DInst::is_local_exec`]) on
-/// the current thread: the fast path's semantic core. Each arm is a
-/// verbatim copy of the corresponding [`exec`] arm — same helpers, same
-/// error construction — restricted to instructions that touch nothing
-/// but `th`. The caller has already done the shared accounting (`cost`,
-/// `pc += 1`, spin reset) exactly as `exec`'s preamble does.
+/// the current thread: the semantic core shared by the fast path,
+/// [`issue_local`] and [`exec`]. It touches nothing but `th`. The caller
+/// has already done the shared accounting (`cost`, `pc += 1`, spin
+/// reset) exactly as `exec`'s preamble does.
 #[inline(never)]
 fn exec_local(di: &DInst, th: &mut Thread, tid: usize, pc0: Pc) -> Result<(), SimError> {
     match di.inst {
@@ -1396,7 +1464,12 @@ fn exec<R: Recorder>(
     proc.stats.busy += c;
     th.run_cycles += c;
     counters.instructions += 1;
-    rec.charge(tid, Cat::Busy, c);
+    // Under SMT a `Halt` retires without holding its lane (the same cycle
+    // may issue another context on it), so its cost is no slot-cycle of
+    // work; `run_to_completion` books it as an unfilled slot instead.
+    if config.model != SwitchModel::Smt || !matches!(inst, Inst::Halt) {
+        rec.charge(tid, Cat::Busy, c);
+    }
     let latency = if config.model == SwitchModel::Ideal { 0 } else { config.latency };
     th.pc += 1;
 
@@ -1415,108 +1488,13 @@ fn exec<R: Recorder>(
         th.kill_pending_masks(di.int_def, di.fp_def_mask);
     }
 
+    // Local-only instructions share the fast path's semantic core.
+    if di.is_local_exec() {
+        exec_local(di, th, tid, pc0)?;
+        return Ok(Outcome::Continue);
+    }
+
     match inst {
-        Inst::Alu { op, rd, rs, rt } => {
-            let v = alu(op, th.rget(rs), th.rget(rt));
-            th.rset(rd, v);
-            Ok(Outcome::Continue)
-        }
-        Inst::AluI { op, rd, rs, imm } => {
-            let v = alu(op, th.rget(rs), imm);
-            th.rset(rd, v);
-            Ok(Outcome::Continue)
-        }
-        Inst::Fpu { op, fd, fs, ft } => {
-            let a = th.fget(fs);
-            let b = th.fget(ft);
-            let v = match op {
-                FpuOp::Add => a + b,
-                FpuOp::Sub => a - b,
-                FpuOp::Mul => a * b,
-                FpuOp::Div => a / b,
-                FpuOp::Min => a.min(b),
-                FpuOp::Max => a.max(b),
-            };
-            th.fset(fd, v);
-            Ok(Outcome::Continue)
-        }
-        Inst::FpuCmp { op, rd, fs, ft } => {
-            let a = th.fget(fs);
-            let b = th.fget(ft);
-            let v = match op {
-                CmpOp::Lt => a < b,
-                CmpOp::Le => a <= b,
-                CmpOp::Eq => a == b,
-                CmpOp::Ne => a != b,
-            };
-            th.rset(rd, v as i64);
-            Ok(Outcome::Continue)
-        }
-        Inst::FLi { fd, val } => {
-            th.fset(fd, val);
-            Ok(Outcome::Continue)
-        }
-        Inst::CvtIF { fd, rs } => {
-            th.fset(fd, th.rget(rs) as f64);
-            Ok(Outcome::Continue)
-        }
-        Inst::CvtFI { rd, fs } => {
-            th.rset(rd, th.fget(fs) as i64);
-            Ok(Outcome::Continue)
-        }
-        Inst::MovIF { fd, rs } => {
-            th.fset(fd, f64::from_bits(th.rget(rs) as u64));
-            Ok(Outcome::Continue)
-        }
-        Inst::MovFI { rd, fs } => {
-            th.rset(rd, th.fget(fs).to_bits() as i64);
-            Ok(Outcome::Continue)
-        }
-        Inst::FSqrt { fd, fs } => {
-            th.fset(fd, th.fget(fs).sqrt());
-            Ok(Outcome::Continue)
-        }
-
-        Inst::Load { space: Space::Local, rd, base, offset, .. } => {
-            let a = ea_checked(th, tid, pc0, base, offset)?;
-            let v = local_read_checked(th, tid, pc0, a)? as i64;
-            th.rset(rd, v);
-            Ok(Outcome::Continue)
-        }
-        Inst::Store { space: Space::Local, rs, base, offset, .. } => {
-            let a = ea_checked(th, tid, pc0, base, offset)?;
-            let v = th.rget(rs) as u64;
-            local_write_checked(th, tid, pc0, a, v)?;
-            Ok(Outcome::Continue)
-        }
-        Inst::FLoad { space: Space::Local, fd, base, offset } => {
-            let a = ea_checked(th, tid, pc0, base, offset)?;
-            let v = f64::from_bits(local_read_checked(th, tid, pc0, a)?);
-            th.fset(fd, v);
-            Ok(Outcome::Continue)
-        }
-        Inst::FStore { space: Space::Local, fs, base, offset } => {
-            let a = ea_checked(th, tid, pc0, base, offset)?;
-            let v = th.fget(fs).to_bits();
-            local_write_checked(th, tid, pc0, a, v)?;
-            Ok(Outcome::Continue)
-        }
-        Inst::LoadPair { space: Space::Local, fd1, fd2, base, offset } => {
-            let a = ea_checked(th, tid, pc0, base, offset)?;
-            let v1 = f64::from_bits(local_read_checked(th, tid, pc0, a)?);
-            let v2 = f64::from_bits(local_read_checked(th, tid, pc0, a + 1)?);
-            th.fset(fd1, v1);
-            th.fset(fd2, v2);
-            Ok(Outcome::Continue)
-        }
-        Inst::StorePair { space: Space::Local, fs1, fs2, base, offset } => {
-            let a = ea_checked(th, tid, pc0, base, offset)?;
-            let (v1, v2) = (th.fget(fs1).to_bits(), th.fget(fs2).to_bits());
-            local_write_checked(th, tid, pc0, a, v1)?;
-            local_write_checked(th, tid, pc0, a + 1, v2)?;
-            Ok(Outcome::Continue)
-        }
-
         Inst::Load { space: Space::Shared, rd, base, offset, hint } => {
             let addr = ea_checked(th, tid, pc0, base, offset)?;
             let raw = shared
@@ -1805,33 +1783,13 @@ fn exec<R: Recorder>(
             Ok(store_outcome(config, proc))
         }
 
-        Inst::Branch { cond, rs, rt, target } => {
-            let a = th.rget(rs);
-            let b = th.rget(rt);
-            let take = match cond {
-                BCond::Eq => a == b,
-                BCond::Ne => a != b,
-                BCond::Lt => a < b,
-                BCond::Le => a <= b,
-                BCond::Gt => a > b,
-                BCond::Ge => a >= b,
-            };
-            if take {
-                th.pc = target.pc();
-            }
-            Ok(Outcome::Continue)
-        }
-        Inst::Jump { target } => {
-            th.pc = target.pc();
-            Ok(Outcome::Continue)
-        }
         Inst::SetPrio { level } => {
             prio[tid] = level;
             Ok(Outcome::Continue)
         }
         Inst::Switch => Ok(switch_outcome(config, th, proc, counters)),
         Inst::Halt => Ok(Outcome::Halt),
-        Inst::Nop => Ok(Outcome::Continue),
+        _ => unreachable!("local-only instruction past the local dispatch: {inst:?}"),
     }
 }
 

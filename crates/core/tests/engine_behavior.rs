@@ -603,3 +603,132 @@ fn priority_scheduling_prefers_critical_threads() {
     let with = release_time(true);
     assert!(with <= without, "priority run {with} vs {without}");
 }
+
+/// A recorder that only counts. Attaching any enabled recorder sends
+/// every instruction through the engine's generic `exec` (the fast
+/// paths and the local-issue helper serve the non-recording runs only),
+/// so comparing against [`Machine::run`] pins the two paths together.
+#[derive(Default)]
+struct Counting {
+    charged: u64,
+    events: u64,
+}
+
+impl mtsim_core::Recorder for Counting {
+    fn event(&mut self, _: u64, _: usize, _: usize, _: mtsim_core::EventKind) {
+        self.events += 1;
+    }
+    fn charge(&mut self, _: usize, _: mtsim_core::Cat, cycles: u64) {
+        self.charged += cycles;
+    }
+    fn charge_idle(&mut self, _: usize, _: u64) {}
+    fn sample(&mut self, _: mtsim_core::Metric, _: u64) {}
+    fn finish_run(&mut self, _: u64) {}
+}
+
+/// Runs `machine()` plain and under [`Counting`], asserts both give the
+/// same statistics, final memory and thread images, and returns the
+/// plain run.
+fn assert_recorder_agrees(machine: impl Fn() -> Machine, what: &str) -> mtsim_core::FinishedRun {
+    let plain = machine().run().unwrap_or_else(|e| panic!("{what}: {e}"));
+    let mut rec = Counting::default();
+    let recorded = machine().run_with(&mut rec).unwrap_or_else(|e| panic!("{what}: {e}"));
+    assert_eq!(format!("{:?}", plain.result), format!("{:?}", recorded.result), "{what}: result");
+    assert_eq!(format!("{:?}", plain.shared), format!("{:?}", recorded.shared), "{what}: memory");
+    assert!(plain.threads == recorded.threads, "{what}: thread images differ");
+    assert!(rec.charged > 0 && rec.events > 0, "{what}: the recorder saw nothing");
+    plain
+}
+
+/// Every application at P=2 × T ∈ {1,2,4,8} under `model`, at each
+/// issue width in `widths` (T > W included: lanes are contended).
+fn recorder_agrees_across_apps(model: SwitchModel, widths: &[usize]) {
+    use mtsim_apps::{build_app, AppKind, Scale};
+    for kind in AppKind::ALL {
+        for t in [1, 2, 4, 8] {
+            let app = build_app(kind, Scale::Tiny, 2 * t);
+            for &w in widths {
+                let what = format!("{kind:?} {model:?} T={t} W={w}");
+                let cfg = || MachineConfig::new(model, 2, t).with_issue_width(w);
+                let fin = assert_recorder_agrees(
+                    || Machine::new(cfg(), &app.program, app.shared.clone()),
+                    &what,
+                );
+                app.verify(&fin.shared).unwrap_or_else(|e| panic!("{what}: {e}"));
+            }
+        }
+    }
+}
+
+#[test]
+fn smt_recorder_run_matches_plain_run_on_every_app() {
+    recorder_agrees_across_apps(SwitchModel::Smt, &[1, 2, 4]);
+}
+
+#[test]
+fn switch_every_cycle_recorder_run_matches_plain_run_on_every_app() {
+    recorder_agrees_across_apps(SwitchModel::SwitchEveryCycle, &[1]);
+}
+
+/// Runs `insts` (with `zero_cost` pcs decoded at cost 0) on one
+/// processor under SMT, plain and recorded, and returns (cycles,
+/// instructions, busy).
+fn smt_hand_run(insts: Vec<mtsim_isa::Inst>, zero_cost: &[usize], t: usize, w: usize) -> [u64; 3] {
+    use mtsim_core::{DInst, DecodedProgram, MachineScratch};
+    let prog = Program::from_raw_parts("hand", insts);
+    let mut dinsts: Vec<DInst> = prog.insts().iter().map(|&i| DInst::decode(i)).collect();
+    for &pc in zero_cost {
+        dinsts[pc].cost = 0;
+    }
+    let decoded = DecodedProgram::from_insts(dinsts.into());
+    let cfg = || MachineConfig::new(SwitchModel::Smt, 1, t).with_issue_width(w);
+    let fin = assert_recorder_agrees(
+        || {
+            let shared = SharedMemory::new(4);
+            let mut scratch = MachineScratch::new();
+            Machine::try_new_predecoded(cfg(), &prog, &decoded, shared, 0, &mut scratch)
+                .expect("build")
+                .0
+        },
+        &format!("hand-built T={t} W={w}"),
+    );
+    let r = fin.result;
+    [r.cycles, r.instructions, r.per_proc[0].busy]
+}
+
+#[test]
+fn smt_halt_frees_its_lane_for_a_waiting_context_in_the_same_cycle() {
+    use mtsim_isa::{AluOp, BCond, Inst, Reg, Target};
+    // Thread 0 halts at once; the others add twice and halt. At W=1 the
+    // first halt lands in a cycle where a ready context is still
+    // waiting, and that context must issue in the same cycle.
+    let add = Inst::AluI { op: AluOp::Add, rd: Reg::R8, rs: Reg::R8, imm: 1 };
+    let insts = || {
+        vec![
+            Inst::Branch { cond: BCond::Ne, rs: Reg::TID, rt: Reg::ZERO, target: Target::Pc(2) },
+            Inst::Halt,
+            add,
+            add,
+            Inst::Halt,
+        ]
+    };
+    // Pinned (cycles, instructions, busy): a lane freed by a halt but
+    // left unused until a later cycle shows up as a longer run.
+    for (t, w, want) in [(2, 1, [5, 6, 6]), (3, 1, [8, 10, 10]), (3, 2, [5, 10, 10])] {
+        assert_eq!(smt_hand_run(insts(), &[], t, w), want, "T={t} W={w}");
+    }
+}
+
+#[test]
+fn smt_zero_cost_issue_competes_again_in_the_same_cycle() {
+    use mtsim_isa::{AluOp, Inst, Reg};
+    // Two 0-cycle instructions ahead of real work: every context issues
+    // them and then competes again without time advancing.
+    let add = Inst::AluI { op: AluOp::Add, rd: Reg::R8, rs: Reg::R8, imm: 1 };
+    let insts = || vec![Inst::Nop, Inst::Nop, add, add, Inst::Halt];
+    // Pinned (cycles, instructions, busy): a 0-cycle issuer that did not
+    // compete again in its own cycle would lengthen or stall the run.
+    for (t, w, want) in [(1, 1, [3, 5, 3]), (2, 1, [5, 10, 6]), (2, 2, [3, 10, 6])] {
+        assert_eq!(smt_hand_run(insts(), &[0, 1], t, w), want, "T={t} W={w}");
+    }
+}

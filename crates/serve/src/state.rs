@@ -219,10 +219,7 @@ mod tests {
     use super::*;
 
     fn tmp_dir(tag: &str) -> PathBuf {
-        let dir =
-            std::env::temp_dir().join(format!("mtsim-serve-state-{tag}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        dir
+        mtsim_sweep::unique_temp_dir(&format!("serve-state-{tag}")).unwrap()
     }
 
     fn tiny_spec() -> SweepSpec {

@@ -8,7 +8,7 @@
 //! JSON never gets to drift from what the rest of the workspace can
 //! read.
 
-use std::io::{Read, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
@@ -18,9 +18,7 @@ use mtsim_sweep::checkpoint::parse_json;
 use mtsim_sweep::{run_sweep, SweepOpts, SweepSpec};
 
 fn tmp_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("mtsim-serve-api-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
+    mtsim_sweep::unique_temp_dir(&format!("serve-api-{tag}")).unwrap()
 }
 
 fn start(state_dir: &std::path::Path, queue_cap: usize) -> SocketAddr {
@@ -58,48 +56,62 @@ impl Reply {
     }
 }
 
-fn read_reply(conn: &mut TcpStream) -> Reply {
-    let mut raw = Vec::new();
-    let mut buf = [0u8; 4096];
-    let head_end = loop {
-        if let Some(pos) = raw.windows(4).position(|w| w == b"\r\n\r\n") {
-            break pos + 4;
-        }
-        let n = conn.read(&mut buf).expect("read response head");
-        assert!(n > 0, "connection closed mid-head: {:?}", String::from_utf8_lossy(&raw));
-        raw.extend_from_slice(&buf[..n]);
-    };
-    let head = String::from_utf8_lossy(&raw[..head_end]).into_owned();
-    let status: u16 = head
-        .split(' ')
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or_else(|| panic!("bad status line: {head}"));
-    let content_type = head
-        .lines()
-        .find_map(|l| l.strip_prefix("content-type: "))
-        .unwrap_or("")
-        .trim()
-        .to_string();
-    let length: usize = head
-        .lines()
-        .find_map(|l| l.strip_prefix("content-length: "))
-        .and_then(|v| v.trim().parse().ok())
-        .expect("response must declare content-length");
-    let mut body: Vec<u8> = raw[head_end..].to_vec();
-    while body.len() < length {
-        let n = conn.read(&mut buf).expect("read response body");
-        assert!(n > 0, "connection closed mid-body");
-        body.extend_from_slice(&buf[..n]);
+/// A client connection. Every read goes through one buffer, so bytes
+/// past the current reply (pipelined replies can arrive in one segment)
+/// stay for the next [`Conn::reply`]; every read times out, so a lost
+/// reply fails the test instead of hanging it.
+struct Conn(BufReader<TcpStream>);
+
+impl Conn {
+    fn open(addr: SocketAddr) -> Conn {
+        let stream = TcpStream::connect(addr).expect("connect");
+        stream.set_read_timeout(Some(Duration::from_secs(30))).expect("set read timeout");
+        Conn(BufReader::new(stream))
     }
-    body.truncate(length);
-    Reply { status, content_type, body }
+
+    fn write(&mut self, raw: &[u8]) {
+        let stream = self.0.get_mut();
+        stream.write_all(raw).expect("write request");
+        stream.flush().expect("flush request");
+    }
+
+    fn reply(&mut self) -> Reply {
+        let mut head = String::new();
+        loop {
+            let mut line = String::new();
+            let n = self.0.read_line(&mut line).expect("read response head");
+            assert!(n > 0, "connection closed mid-head: {head:?}");
+            if line == "\r\n" {
+                break;
+            }
+            head.push_str(&line);
+        }
+        let status: u16 = head
+            .split(' ')
+            .nth(1)
+            .and_then(|s| s.parse().ok())
+            .unwrap_or_else(|| panic!("bad status line: {head}"));
+        let content_type = head
+            .lines()
+            .find_map(|l| l.strip_prefix("content-type: "))
+            .unwrap_or("")
+            .trim()
+            .to_string();
+        let length: usize = head
+            .lines()
+            .find_map(|l| l.strip_prefix("content-length: "))
+            .and_then(|v| v.trim().parse().ok())
+            .expect("response must declare content-length");
+        let mut body = vec![0; length];
+        self.0.read_exact(&mut body).expect("read response body");
+        Reply { status, content_type, body }
+    }
 }
 
 fn send(addr: SocketAddr, raw: &[u8]) -> Reply {
-    let mut conn = TcpStream::connect(addr).expect("connect");
-    conn.write_all(raw).expect("write request");
-    read_reply(&mut conn)
+    let mut conn = Conn::open(addr);
+    conn.write(raw);
+    conn.reply()
 }
 
 fn get(addr: SocketAddr, path: &str) -> Reply {
@@ -292,36 +304,32 @@ fn pipelined_and_torn_requests_work_over_a_real_socket() {
     let addr = start(&dir, 4);
 
     // Two pipelined requests in one write → two responses in order.
-    let mut conn = TcpStream::connect(addr).unwrap();
-    conn.write_all(b"GET /v1/healthz HTTP/1.1\r\n\r\nGET /v1/stats HTTP/1.1\r\n\r\n").unwrap();
-    let first = read_reply(&mut conn);
-    let second = read_reply(&mut conn);
+    let mut conn = Conn::open(addr);
+    conn.write(b"GET /v1/healthz HTTP/1.1\r\n\r\nGET /v1/stats HTTP/1.1\r\n\r\n");
+    let first = conn.reply();
+    let second = conn.reply();
     assert_eq!((first.status, second.status), (200, 200));
     assert!(first.text().contains("\"ok\""));
     assert!(second.text().contains("\"queue\""));
 
     // A request torn across writes still parses.
-    let mut conn = TcpStream::connect(addr).unwrap();
-    conn.write_all(b"GET /v1/hea").unwrap();
-    conn.flush().unwrap();
+    let mut conn = Conn::open(addr);
+    conn.write(b"GET /v1/hea");
     std::thread::sleep(Duration::from_millis(10));
-    conn.write_all(b"lthz HTTP/1.1\r\n\r\n").unwrap();
-    assert_eq!(read_reply(&mut conn).status, 200);
+    conn.write(b"lthz HTTP/1.1\r\n\r\n");
+    assert_eq!(conn.reply().status, 200);
 
     // An oversized declared body is rejected at the header.
-    let mut conn = TcpStream::connect(addr).unwrap();
+    let mut conn = Conn::open(addr);
     let huge = mtsim_serve::MAX_BODY_BYTES + 1;
-    conn.write_all(
-        format!("POST /v1/sweeps HTTP/1.1\r\ncontent-length: {huge}\r\n\r\n").as_bytes(),
-    )
-    .unwrap();
-    let reply = read_reply(&mut conn);
+    conn.write(format!("POST /v1/sweeps HTTP/1.1\r\ncontent-length: {huge}\r\n\r\n").as_bytes());
+    let reply = conn.reply();
     assert_eq!(reply.status, 413);
     reply.text();
 
     // A malformed content-length is a 400.
-    let mut conn = TcpStream::connect(addr).unwrap();
-    conn.write_all(b"POST /v1/sweeps HTTP/1.1\r\ncontent-length: nope\r\n\r\n").unwrap();
-    assert_eq!(read_reply(&mut conn).status, 400);
+    let mut conn = Conn::open(addr);
+    conn.write(b"POST /v1/sweeps HTTP/1.1\r\ncontent-length: nope\r\n\r\n");
+    assert_eq!(conn.reply().status, 400);
     let _ = std::fs::remove_dir_all(&dir);
 }

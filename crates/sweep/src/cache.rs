@@ -17,9 +17,11 @@
 //! * **Grouping is deduplicated by program content.** Some applications
 //!   emit the same program at every thread count (only their input
 //!   image differs), so grouped programs are keyed by a content hash of
-//!   the built program rather than the full `(app, scale, nthreads)`
+//!   the built program (plus its local-memory size, which the grouped
+//!   program carries) rather than the full `(app, scale, nthreads)`
 //!   key — those apps pay for one grouping pass per sweep, not one per
-//!   thread-count axis value.
+//!   thread-count axis value. The hash is computed once per program
+//!   ([`Program::content_hash`]), so a hit formats and hashes nothing.
 //!
 //! The cache's lifetime is the caller's choice: `run_sweep` creates a
 //! private one per sweep by default, while a long-running service
@@ -32,6 +34,7 @@
 //! counters stay deterministic.
 
 use std::collections::HashMap;
+use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -40,9 +43,11 @@ use mtsim_asm::Program;
 use mtsim_core::DecodedProgram;
 use mtsim_opt::{optimize, OptLevel, OptStats};
 
-use crate::checkpoint::fnv1a64;
-
 type Key = (AppKind, Scale, usize);
+/// A source program's identity for the artifacts derived from it: its
+/// code ([`Program::content_hash`]) and its local-memory size, which the
+/// derived program inherits.
+type SourceKey = (u64, u64);
 /// A cached optimizer output: the rewritten image with its statistics.
 type OptArtifact = Arc<(Program, OptStats)>;
 
@@ -62,18 +67,19 @@ impl<T> Entry<T> {
 #[derive(Default)]
 pub struct ArtifactCache {
     built: Mutex<HashMap<Key, Entry<Arc<BuiltApp>>>>,
-    /// Grouped programs keyed by the *content hash* of the source
-    /// program, so shape-invariant programs group once per sweep.
-    grouped: Mutex<HashMap<u64, Entry<Arc<Program>>>>,
+    /// Grouped programs keyed by the *content hash* (and local-memory
+    /// size) of the source program, so shape-invariant programs group
+    /// once per sweep.
+    grouped: Mutex<HashMap<SourceKey, Entry<Arc<Program>>>>,
     /// Pre-decoded programs (DESIGN.md §20), also keyed by content
     /// hash: the engine's dense decoded form is resolved once per
     /// distinct program per cache lifetime, never per grid point.
     decoded: Mutex<HashMap<u64, Entry<Arc<DecodedProgram>>>>,
-    /// Multi-pass optimizer outputs (DESIGN.md §21), keyed by the source
-    /// program's content hash plus the level, so shape-invariant
-    /// programs optimize once per sweep per level. The statistics ride
-    /// along: they are a pure function of the same key.
-    optimized: Mutex<HashMap<(u64, OptLevel), Entry<OptArtifact>>>,
+    /// Multi-pass optimizer outputs (DESIGN.md §21), keyed like grouped
+    /// programs plus the level, so shape-invariant programs optimize
+    /// once per sweep per level. The statistics ride along: they are a
+    /// pure function of the same key.
+    optimized: Mutex<HashMap<(SourceKey, OptLevel), Entry<OptArtifact>>>,
     hits: AtomicU64,
     misses: AtomicU64,
     evictions: AtomicU64,
@@ -92,22 +98,9 @@ impl ArtifactCache {
     /// did not perform the build — it may still have *waited* for a
     /// concurrent builder).
     pub fn built(&self, app: AppKind, scale: Scale, nthreads: usize) -> (Arc<BuiltApp>, bool) {
-        let stamp = self.clock.fetch_add(1, Ordering::Relaxed);
-        let slot = {
-            let mut map = self.built.lock().unwrap();
-            let entry = map.entry((app, scale, nthreads)).or_insert_with(|| Entry::new(stamp));
-            entry.stamp = stamp;
-            Arc::clone(&entry.slot)
-        };
-        // Build outside the map lock: codegen + input-image construction
-        // is the expensive part and must not serialize unrelated keys.
-        let mut built_here = false;
-        let value = slot.get_or_init(|| {
-            built_here = true;
+        self.lookup(&self.built, (app, scale, nthreads), || {
             Arc::new(build_app(app, scale, nthreads))
-        });
-        self.count(built_here);
-        (Arc::clone(value), !built_here)
+        })
     }
 
     /// The grouped (explicit-switch) program for `(app, scale,
@@ -115,21 +108,11 @@ impl ArtifactCache {
     /// The boolean is true on a cache hit.
     pub fn grouped(&self, app: AppKind, scale: Scale, nthreads: usize) -> (Arc<Program>, bool) {
         let (base, _) = self.built(app, scale, nthreads);
-        let content = fnv1a64(base.program.listing().as_bytes());
-        let stamp = self.clock.fetch_add(1, Ordering::Relaxed);
-        let slot = {
-            let mut map = self.grouped.lock().unwrap();
-            let entry = map.entry(content).or_insert_with(|| Entry::new(stamp));
-            entry.stamp = stamp;
-            Arc::clone(&entry.slot)
-        };
-        let mut built_here = false;
-        let value = slot.get_or_init(|| {
-            built_here = true;
-            Arc::new(base.grouped().0)
-        });
-        self.count(built_here);
-        (Arc::clone(value), !built_here)
+        self.grouped_of(&base)
+    }
+
+    fn grouped_of(&self, base: &BuiltApp) -> (Arc<Program>, bool) {
+        self.lookup(&self.grouped, source_key(&base.program), || Arc::new(base.grouped().0))
     }
 
     /// The program produced by the multi-pass optimizer pipeline at
@@ -146,44 +129,52 @@ impl ArtifactCache {
         level: OptLevel,
     ) -> (OptArtifact, bool) {
         let (base, _) = self.built(app, scale, nthreads);
-        let content = fnv1a64(base.program.listing().as_bytes());
-        let stamp = self.clock.fetch_add(1, Ordering::Relaxed);
-        let slot = {
-            let mut map = self.optimized.lock().unwrap();
-            let entry = map.entry((content, level)).or_insert_with(|| Entry::new(stamp));
-            entry.stamp = stamp;
-            Arc::clone(&entry.slot)
-        };
-        let mut built_here = false;
-        let value = slot.get_or_init(|| {
-            built_here = true;
+        self.optimized_of(&base, level)
+    }
+
+    fn optimized_of(&self, base: &BuiltApp, level: OptLevel) -> (OptArtifact, bool) {
+        self.lookup(&self.optimized, (source_key(&base.program), level), || {
             let r = optimize(&base.program, level);
             Arc::new((r.program, r.stats))
-        });
-        self.count(built_here);
-        (Arc::clone(value), !built_here)
+        })
     }
 
     /// The pre-decoded form of `program`, decoding it on first use. Like
     /// grouped programs, decoded programs are keyed by content hash, so
     /// shape-invariant applications decode once per sweep regardless of
-    /// the thread-count axis. The boolean is true on a cache hit.
+    /// the thread-count axis. A decode depends on the code alone, so
+    /// programs differing only in local-memory size share one. The
+    /// boolean is true on a cache hit.
     pub fn decoded(&self, program: &Program) -> (Arc<DecodedProgram>, bool) {
-        let content = fnv1a64(program.listing().as_bytes());
+        self.lookup(&self.decoded, program.content_hash(), || {
+            Arc::new(DecodedProgram::decode(program))
+        })
+    }
+
+    /// The one lookup every artifact kind goes through: stamp `key`'s
+    /// entry for LRU, then build it on first use *outside* the map lock
+    /// (codegen and optimization are the expensive part and must not
+    /// serialize unrelated keys). The boolean is true on a hit.
+    fn lookup<K: Eq + Hash, T: Clone>(
+        &self,
+        map: &Mutex<HashMap<K, Entry<T>>>,
+        key: K,
+        build: impl FnOnce() -> T,
+    ) -> (T, bool) {
         let stamp = self.clock.fetch_add(1, Ordering::Relaxed);
         let slot = {
-            let mut map = self.decoded.lock().unwrap();
-            let entry = map.entry(content).or_insert_with(|| Entry::new(stamp));
+            let mut map = map.lock().expect("no lookup panics while holding a cache map");
+            let entry = map.entry(key).or_insert_with(|| Entry::new(stamp));
             entry.stamp = stamp;
             Arc::clone(&entry.slot)
         };
         let mut built_here = false;
         let value = slot.get_or_init(|| {
             built_here = true;
-            Arc::new(DecodedProgram::decode(program))
+            build()
         });
         self.count(built_here);
-        (Arc::clone(value), !built_here)
+        (value.clone(), !built_here)
     }
 
     fn count(&self, built_here: bool) {
@@ -264,6 +255,10 @@ impl ArtifactCache {
         self.evictions.fetch_add(dropped, Ordering::Relaxed);
         dropped
     }
+}
+
+fn source_key(program: &Program) -> SourceKey {
+    (program.content_hash(), program.local_words())
 }
 
 impl std::fmt::Debug for ArtifactCache {
@@ -366,6 +361,30 @@ mod tests {
         let (d2, hit2) = cache.decoded(&a2.program);
         assert!(hit2);
         assert!(Arc::ptr_eq(&d1, &d2), "identical programs must share a decode");
+    }
+
+    #[test]
+    fn same_code_with_different_local_words_never_shares_an_artifact() {
+        let base = build_app(AppKind::Sor, Scale::Tiny, 2);
+        let words = base.program.local_words();
+        let app = |words| {
+            let program = base.program.clone().with_local_words(words);
+            BuiltApp::new("sor", program, base.shared.clone(), 2, |_| Ok(()))
+        };
+        let (small, big) = (app(words), app(words + 64));
+        let cache = ArtifactCache::new();
+        let (g1, _) = cache.grouped_of(&small);
+        let (g2, hit) = cache.grouped_of(&big);
+        assert!(!hit, "a different local-memory size must not hit");
+        assert_eq!((g1.local_words(), g2.local_words()), (words, words + 64));
+        let (o1, _) = cache.optimized_of(&small, OptLevel::Intra);
+        let (o2, hit) = cache.optimized_of(&big, OptLevel::Intra);
+        assert!(!hit);
+        assert_eq!((o1.0.local_words(), o2.0.local_words()), (words, words + 64));
+        // The decode depends on the code alone: one entry serves both.
+        let (d1, _) = cache.decoded(&small.program);
+        let (d2, hit) = cache.decoded(&big.program);
+        assert!(hit && Arc::ptr_eq(&d1, &d2));
     }
 
     #[test]

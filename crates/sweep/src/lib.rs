@@ -39,6 +39,7 @@ mod pool;
 mod results;
 mod spec;
 mod stream;
+mod temp;
 
 use std::cell::RefCell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -54,6 +55,7 @@ pub use pool::{default_workers, run_jobs, run_jobs_partial, Watchdog};
 pub use results::{JobError, JobOutcome, OptCols, SweepOutcome};
 pub use spec::{JobSpec, OptChoice, SweepSpec, DEFAULT_MAX_CYCLES};
 pub use stream::StreamWriter;
+pub use temp::unique_temp_dir;
 
 /// Execution options for a sweep.
 #[derive(Debug, Clone)]

@@ -97,9 +97,12 @@ mod tests {
     use crate::spec::SweepSpec;
 
     fn temp(name: &str) -> String {
-        let mut p = std::env::temp_dir();
-        p.push(format!("mtsim-stream-{}-{name}.jsonl", std::process::id()));
-        p.to_string_lossy().into_owned()
+        let dir = crate::unique_temp_dir(&format!("stream-{name}")).unwrap();
+        dir.join("ckpt.jsonl").to_string_lossy().into_owned()
+    }
+
+    fn discard(path: &str) {
+        std::fs::remove_dir_all(std::path::Path::new(path).parent().unwrap()).ok();
     }
 
     #[test]
@@ -127,7 +130,7 @@ mod tests {
         assert_eq!(rec.attempts, 1);
         assert!(!rec.quarantined);
         assert_eq!(rec.result.as_ref().unwrap_err().kind(), "verify");
-        std::fs::remove_file(&path).ok();
+        discard(&path);
     }
 
     #[test]
@@ -167,7 +170,7 @@ mod tests {
         assert!(!again.torn_tail);
         assert_eq!(again.records.len(), 2);
         assert_eq!(again.records[&1].seq, 2, "sequence continues past persisted records");
-        std::fs::remove_file(&path).ok();
+        discard(&path);
     }
 
     #[test]
@@ -192,6 +195,6 @@ mod tests {
             Err(SweepError::Corrupt { line, .. }) => assert_eq!(line, 2),
             other => panic!("expected Corrupt, got {other:?}"),
         }
-        std::fs::remove_file(&path).ok();
+        discard(&path);
     }
 }

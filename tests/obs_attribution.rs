@@ -38,6 +38,21 @@ fn attribution_conserves_cycles_on_every_app_and_model() {
     }
 }
 
+/// The SMT law also balances under lane contention (T > W), where a
+/// context's final `Halt` frees its lane for another context in the same
+/// cycle and so occupies no slot-cycle.
+#[test]
+fn smt_attribution_conserves_slots_under_lane_contention() {
+    for kind in AppKind::ALL {
+        let app = build_app(kind, Scale::Tiny, 8);
+        for w in [1, 2] {
+            let c = cfg(SwitchModel::Smt, 2, 4).with_issue_width(w);
+            let (r, rec) = profile_app(&app, c, 64).unwrap_or_else(|e| panic!("{kind:?}: {e}"));
+            assert_eq!(rec.attr.conservation_error(r.cycles), None, "{kind:?} W={w}");
+        }
+    }
+}
+
 /// `run()`, `run_with(NoopRecorder)`, and `run_with(ObsRecorder)` are the
 /// same simulation: identical cycles and statistics.
 #[test]

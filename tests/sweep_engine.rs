@@ -148,9 +148,12 @@ fn failing_grid_point_is_one_failing_row() {
 }
 
 fn temp_ckpt(tag: &str) -> String {
-    let mut p = std::env::temp_dir();
-    p.push(format!("mtsim-sweep-engine-{}-{tag}.jsonl", std::process::id()));
-    p.to_string_lossy().into_owned()
+    let dir = mtsim::sweep::unique_temp_dir(&format!("sweep-engine-{tag}")).unwrap();
+    dir.join("ckpt.jsonl").to_string_lossy().into_owned()
+}
+
+fn discard(ckpt: &str) {
+    std::fs::remove_dir_all(std::path::Path::new(ckpt).parent().unwrap()).ok();
 }
 
 #[test]
@@ -208,7 +211,7 @@ fn resume_after_kill_is_byte_identical_to_uninterrupted_run() {
     let ckpt = load_checkpoint(&path).unwrap();
     assert_eq!(ckpt.records.len(), 32);
     assert!(!ckpt.torn_tail);
-    std::fs::remove_file(&path).ok();
+    discard(&path);
 }
 
 fn run_sweep_resume(spec: &SweepSpec, path: &str) -> mtsim::sweep::SweepOutcome {
@@ -253,5 +256,5 @@ fn corrupt_checkpoints_are_typed_errors_never_partial_resumes() {
         Err(SweepError::SpecMismatch { .. }) => {}
         other => panic!("wrong spec must be SpecMismatch, got {other:?}"),
     }
-    std::fs::remove_file(&path).ok();
+    discard(&path);
 }
