@@ -30,17 +30,14 @@
 //! runs the unblessed form, so any accidental re-bless that changes a
 //! byte fails the build.
 
-use crate::diff::{fault_profile, progress_guaranteed, LATENCIES};
+use crate::diff::{fault_profile, progress_guaranteed, splits, Image, Runner, LATENCIES};
 use crate::generate::generate;
 use mtsim_asm::{Program, ProgramBuilder};
-use mtsim_core::{Machine, MachineConfig, NetworkConfig, SwitchModel, Topology};
+use mtsim_core::{MachineConfig, NetworkConfig, SwitchModel, Topology};
 use mtsim_mem::SharedMemory;
 use mtsim_opt::group_shared_loads;
 use mtsim_rng::Rng;
 use mtsim_sweep::run_jobs;
-
-/// Cycle budget per engine run (matches the fuzz harness).
-const MAX_CYCLES: u64 = 20_000_000;
 
 /// Fuzzer seeds contributing generated cases (fixed forever: changing
 /// them invalidates the golden table).
@@ -194,30 +191,25 @@ fn digest(text: &str) -> u64 {
     h
 }
 
-fn run_digest(cfg: MachineConfig, prog: &Program, shared: &SharedMemory) -> Result<u64, String> {
-    let mut cfg = cfg;
-    cfg.max_cycles = MAX_CYCLES;
-    cfg.try_validate()?;
-    let run = Machine::new(cfg, prog, shared.clone()).run().map_err(|e| format!("{e}"))?;
-    Ok(digest(&format!("{:?}|{:?}|{:?}", run.result, run.shared, run.threads)))
-}
-
-/// Processor/thread splits exercised (mirrors the fuzz harness).
-fn splits(n: usize) -> Vec<(usize, usize)> {
-    let mut out = vec![(1, n)];
-    if n > 1 {
-        out.push((n, 1));
-    }
-    if n >= 4 && n.is_multiple_of(2) {
-        out.push((2, n / 2));
-    }
-    out
+/// Runs one grid entry (with the fuzz harness's cycle budget) and
+/// digests it.
+fn run_digest(
+    runner: &mut Runner,
+    cfg: MachineConfig,
+    image: &Image,
+    shared: &SharedMemory,
+) -> Result<u64, String> {
+    let run = runner.run(cfg, image, shared).map_err(|e| format!("{e}"))?;
+    let threads = runner.thread_images();
+    Ok(digest(&format!("{:?}|{:?}|{:?}", run.result, run.shared, threads)))
 }
 
 /// Digests every grid entry of one case, in deterministic order.
 fn digest_case(tag: &str, case: &DeepCase) -> Vec<(String, Result<u64, String>)> {
-    let grouped = group_shared_loads(&case.program).program;
-    let images: [(&Program, &str); 2] = [(&case.program, "ungrouped"), (&grouped, "grouped")];
+    let ungrouped = Image::new(case.program.clone());
+    let grouped = Image::new(group_shared_loads(&case.program).program);
+    let images: [(&Image, &str); 2] = [(&ungrouped, "ungrouped"), (&grouped, "grouped")];
+    let mut runner = Runner::default();
     let mut out = Vec::new();
     for (procs, tpp) in splits(case.nthreads) {
         for (prog, img) in images {
@@ -228,14 +220,14 @@ fn digest_case(tag: &str, case: &DeepCase) -> Vec<(String, Result<u64, String>)>
                     }
                     let label = format!("{tag} p={procs} t={tpp} {img} {} lat={lat}", model.name());
                     let cfg = MachineConfig::new(model, procs, tpp).with_latency(lat);
-                    out.push((label, run_digest(cfg, prog, &case.shared)));
+                    out.push((label, run_digest(&mut runner, cfg, prog, &case.shared)));
                 }
             }
         }
         // Fault seeds: timing-and-traffic chaos over the wall's two
         // flagship models. Digests pin the retry/backoff arithmetic.
         for (i, (model, prog, img)) in [
-            (SwitchModel::SwitchOnLoad, &case.program, "ungrouped"),
+            (SwitchModel::SwitchOnLoad, &ungrouped, "ungrouped"),
             (SwitchModel::ExplicitSwitch, &grouped, "grouped"),
         ]
         .into_iter()
@@ -252,14 +244,14 @@ fn digest_case(tag: &str, case: &DeepCase) -> Vec<(String, Result<u64, String>)>
                 let cfg = MachineConfig::new(model, procs, tpp)
                     .with_latency(200)
                     .with_faults(fault_profile(seed));
-                out.push((label, run_digest(cfg, prog, &case.shared)));
+                out.push((label, run_digest(&mut runner, cfg, prog, &case.shared)));
             }
         }
         // Network topologies: queueing, routing, and combining delays.
-        let net_grid: [(Topology, bool, SwitchModel, &Program, &str); 4] = [
-            (Topology::Crossbar, false, SwitchModel::SwitchOnLoad, &case.program, "ungrouped"),
-            (Topology::Mesh, false, SwitchModel::SwitchOnLoad, &case.program, "ungrouped"),
-            (Topology::Butterfly, false, SwitchModel::SwitchOnLoad, &case.program, "ungrouped"),
+        let net_grid: [(Topology, bool, SwitchModel, &Image, &str); 4] = [
+            (Topology::Crossbar, false, SwitchModel::SwitchOnLoad, &ungrouped, "ungrouped"),
+            (Topology::Mesh, false, SwitchModel::SwitchOnLoad, &ungrouped, "ungrouped"),
+            (Topology::Butterfly, false, SwitchModel::SwitchOnLoad, &ungrouped, "ungrouped"),
             (Topology::Butterfly, true, SwitchModel::ExplicitSwitch, &grouped, "grouped"),
         ];
         for (topology, combining, model, prog, img) in net_grid {
@@ -274,7 +266,7 @@ fn digest_case(tag: &str, case: &DeepCase) -> Vec<(String, Result<u64, String>)>
             let cfg = MachineConfig::new(model, procs, tpp)
                 .with_latency(200)
                 .with_net(NetworkConfig::new(topology).with_combining(combining));
-            out.push((label, run_digest(cfg, prog, &case.shared)));
+            out.push((label, run_digest(&mut runner, cfg, prog, &case.shared)));
         }
     }
     out
@@ -357,6 +349,7 @@ pub fn deep(cfg: DeepConfig) -> DeepSummary {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mtsim_core::Machine;
 
     /// The wall must hold for the engine as built: every digest in the
     /// golden table reproduced exactly. (Blessed from the pre-decode

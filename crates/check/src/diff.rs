@@ -25,11 +25,14 @@
 //!   files and local memories when the case is register-comparable, so
 //!   the pipelining pass's shadow-register bookkeeping must be exact).
 
-use crate::generate::TestProgram;
+use crate::generate::{EmittedCase, TestProgram};
 use crate::oracle::{run_oracle, OracleRun};
 use mtsim_asm::Program;
-use mtsim_core::{FinishedRun, Machine, MachineConfig, NetworkConfig, SwitchModel, Topology};
-use mtsim_mem::{FaultConfig, LatencyDist};
+use mtsim_core::{
+    DecodedProgram, FinishedRun, LeanRun, Machine, MachineConfig, MachineScratch, NetworkConfig,
+    NoopRecorder, SimError, SwitchModel, ThreadImage, ThreadView, Topology,
+};
+use mtsim_mem::{FaultConfig, LatencyDist, SharedMemory};
 use mtsim_opt::{group_shared_loads, optimize, OptLevel};
 use mtsim_rng::Rng;
 
@@ -145,6 +148,131 @@ pub fn fault_profile(seed: u64) -> FaultConfig {
     }
 }
 
+/// The key every harness machine is parked under. Reuse is decided by
+/// decode identity ([`Machine::try_new_predecoded`]); the key only opts
+/// in.
+const SCRATCH_KEY: u64 = 1;
+
+/// A program image, decoded once and shared by every run that names it.
+pub(crate) struct Image {
+    program: Program,
+    decoded: DecodedProgram,
+    /// Whether the image contains explicit `Switch` instructions (what
+    /// [`progress_guaranteed`] calls "grouped").
+    switches: bool,
+}
+
+impl Image {
+    pub(crate) fn new(program: Program) -> Image {
+        let decoded = DecodedProgram::decode(&program);
+        let switches = program.switch_count() > 0;
+        Image { program, decoded, switches }
+    }
+}
+
+/// Runs the engine for one case on one machine's recycled buffers:
+/// consecutive runs of an image reuse its decode and every thread
+/// buffer, and the last run's final thread states stay readable through
+/// [`Runner::threads`].
+#[derive(Default)]
+pub(crate) struct Runner {
+    scratch: MachineScratch,
+    /// Successful runs so far.
+    pub(crate) runs: usize,
+}
+
+impl Runner {
+    /// Runs `image` under `cfg` (with the harness's cycle budget) over a
+    /// copy of `shared`.
+    pub(crate) fn run(
+        &mut self,
+        mut cfg: MachineConfig,
+        image: &Image,
+        shared: &SharedMemory,
+    ) -> Result<LeanRun, SimError> {
+        cfg.max_cycles = MAX_CYCLES;
+        let scratch = &mut self.scratch;
+        let (machine, _) = Machine::try_new_predecoded(
+            cfg,
+            &image.program,
+            &image.decoded,
+            shared.clone(),
+            SCRATCH_KEY,
+            scratch,
+        )?;
+        let run = machine.run_reusing(&mut NoopRecorder, SCRATCH_KEY, scratch)?;
+        self.runs += 1;
+        Ok(run)
+    }
+
+    /// Final state of every thread of the last successful run.
+    pub(crate) fn threads(&self) -> impl ExactSizeIterator<Item = ThreadView<'_>> {
+        self.scratch.threads()
+    }
+
+    /// [`Runner::threads`], copied out.
+    pub(crate) fn thread_images(&self) -> Vec<ThreadImage> {
+        let image =
+            |t: ThreadView| ThreadImage { regs: *t.regs, fregs: t.fregs, local: t.local.to_vec() };
+        self.threads().map(image).collect()
+    }
+}
+
+fn view(t: &ThreadImage) -> ThreadView<'_> {
+    ThreadView { regs: &t.regs, fregs: t.fregs, local: &t.local }
+}
+
+/// One thread-count variant, emitted and optimized once: every processor
+/// split runs the same images.
+struct Variant {
+    case: EmittedCase,
+    has_sync: bool,
+    /// The grid's images: compiler-natural, grouped, then each optimizer
+    /// image that differs from the one before it.
+    images: Vec<(Image, &'static str)>,
+    /// The `InterPipeline` image when the dedup left it out of `images`
+    /// (the fault grid runs it either way).
+    pipelined: Option<Image>,
+}
+
+impl Variant {
+    fn new(tp: &TestProgram) -> Variant {
+        let case = tp.emit();
+        let grouped = group_shared_loads(&case.program).program;
+        // Optimizer-pipeline images (DESIGN.md §21). `Intra` is
+        // `group_shared_loads` verbatim, so `grouped` covers it; the
+        // inter-block levels are deduped by listing — on programs the
+        // extra passes leave alone they are byte-identical to `grouped`
+        // and rerunning them would grow the grid for nothing.
+        let inter = optimize(&case.program, OptLevel::Inter).program;
+        let interp = optimize(&case.program, OptLevel::InterPipeline).program;
+        let inter_distinct = inter.listing() != grouped.listing();
+        let interp_distinct = interp.listing() != inter.listing();
+        let mut images =
+            vec![(Image::new(case.program.clone()), "ungrouped"), (Image::new(grouped), "grouped")];
+        if inter_distinct {
+            images.push((Image::new(inter), "opt-inter"));
+        }
+        let mut pipelined = Some(Image::new(interp));
+        if interp_distinct {
+            images.extend(pipelined.take().map(|image| (image, "opt-inter-pipe")));
+        }
+        Variant { case, has_sync: tp.uses_lock() || tp.uses_barrier(), images, pipelined }
+    }
+
+    fn ungrouped(&self) -> &Image {
+        &self.images[0].0
+    }
+
+    fn grouped(&self) -> &Image {
+        &self.images[1].0
+    }
+
+    fn pipelined(&self) -> &Image {
+        self.pipelined.as_ref().unwrap_or_else(|| &self.images[self.images.len() - 1].0)
+    }
+}
+
 /// Checks one generated case against the oracle over the whole grid.
 ///
 /// Returns the run counts on success, or the first divergence found. The
@@ -153,22 +281,26 @@ pub fn fault_profile(seed: u64) -> FaultConfig {
 /// per case).
 pub fn check_program(tp: &TestProgram, fault_seed: u64) -> Result<CaseReport, CaseFailure> {
     let mut report = CaseReport::default();
+    let mut runner = Runner::default();
     for var in variants(tp) {
-        for (procs, tpp) in splits(var.nthreads) {
-            check_split(&var, procs, tpp, fault_seed, &mut report)?;
+        let var = Variant::new(&var);
+        for (procs, tpp) in splits(var.case.nthreads) {
+            check_split(&var, procs, tpp, fault_seed, &mut runner, &mut report)?;
         }
     }
+    report.engine_runs = runner.runs;
     Ok(report)
 }
 
 fn check_split(
-    tp: &TestProgram,
+    var: &Variant,
     procs: usize,
     tpp: usize,
     fault_seed: u64,
+    runner: &mut Runner,
     report: &mut CaseReport,
 ) -> Result<(), CaseFailure> {
-    let case = tp.emit();
+    let case = &var.case;
     let n = case.nthreads;
     let who = |tag: &str, model: SwitchModel, lat: u64| {
         format!("n={n} p={procs} t={tpp} {tag} {} lat={lat}", model.name())
@@ -181,47 +313,35 @@ fn check_split(
     let oracle = run_oracle(&case.program, case.shared.clone(), n, local_words, ORACLE_FUEL)
         .map_err(|e| fail(format!("n={n} oracle"), e.to_string()))?;
     report.oracle_runs += 1;
+    report.opt_images += var.images.len() - 2;
 
-    let grouped = group_shared_loads(&case.program).program;
-    // Optimizer-pipeline images (DESIGN.md §21). `Intra` is
-    // `group_shared_loads` verbatim, so `grouped` covers it; the
-    // inter-block levels are deduped by listing — on programs the extra
-    // passes leave alone they are byte-identical to `grouped` and
-    // rerunning them would grow the grid for nothing.
-    let inter = optimize(&case.program, OptLevel::Inter).program;
-    let interp = optimize(&case.program, OptLevel::InterPipeline).program;
-    let mut images: Vec<(&Program, &str)> =
-        vec![(&case.program, "ungrouped"), (&grouped, "grouped")];
-    if inter.listing() != grouped.listing() {
-        images.push((&inter, "opt-inter"));
-    }
-    if interp.listing() != inter.listing() {
-        images.push((&interp, "opt-inter-pipe"));
-    }
-    report.opt_images += images.len() - 2;
+    // One engine run held to the oracle; `label` names it in a failure.
+    let check = |runner: &mut Runner, cfg, image: &Image, label: &dyn Fn() -> String| {
+        let run = runner
+            .run(cfg, image, &case.shared)
+            .map_err(|e| fail(label(), format!("engine error: {e}")))?;
+        compare_state(&oracle, &run.shared, runner.threads(), case.regs_comparable)
+            .map_err(|d| fail(label(), d))?;
+        Ok::<_, CaseFailure>(run)
+    };
 
-    let has_sync = tp.uses_lock() || tp.uses_barrier();
-    for (prog, tag) in images {
+    for (image, tag) in &var.images {
         for model in SwitchModel::ALL {
             for lat in LATENCIES {
                 // Every optimized image ends with the grouping pass, so
                 // "has explicit switches" is what progress depends on.
-                if !progress_guaranteed(model, lat, prog.switch_count() > 0, has_sync, tpp) {
+                if !progress_guaranteed(model, lat, image.switches, var.has_sync, tpp) {
                     continue;
                 }
                 let cfg = MachineConfig::new(model, procs, tpp).with_latency(lat);
-                let run = run_engine(cfg, prog, &case.shared)
-                    .map_err(|e| fail(who(tag, model, lat), e))?;
-                report.engine_runs += 1;
-                compare(&oracle, &run, case.regs_comparable)
-                    .map_err(|d| fail(who(tag, model, lat), d))?;
+                let run = check(runner, cfg, image, &|| who(tag, model, lat))?;
 
                 // Metamorphic: single-threaded, zero-latency, ungrouped
                 // runs are spin-free, so the engine must execute exactly
                 // the oracle's dynamic instruction count.
                 if n == 1
                     && lat == 0
-                    && tag == "ungrouped"
+                    && *tag == "ungrouped"
                     && model == SwitchModel::Ideal
                     && run.result.instructions != oracle.instructions
                 {
@@ -244,13 +364,10 @@ fn check_split(
     // every cycle). Progress is guaranteed at any width: the round-robin
     // cursor always rotates past the first issuer.
     for w in [1usize, 2, 8] {
-        let label = format!("n={n} p={procs} t={tpp} smt-w{w} lat=200");
+        let label = || format!("n={n} p={procs} t={tpp} smt-w{w} lat=200");
         let cfg =
             MachineConfig::new(SwitchModel::Smt, procs, tpp).with_issue_width(w).with_latency(200);
-        let run =
-            run_engine(cfg, &case.program, &case.shared).map_err(|e| fail(label.clone(), e))?;
-        report.engine_runs += 1;
-        compare(&oracle, &run, case.regs_comparable).map_err(|d| fail(label, d))?;
+        check(runner, cfg, var.ungrouped(), &label)?;
     }
 
     // Engine determinism: an identical configuration twice must reproduce
@@ -258,12 +375,16 @@ fn check_split(
     {
         let model = SwitchModel::SwitchOnUse;
         let mk = || MachineConfig::new(model, procs, tpp).with_latency(200);
-        let a = run_engine(mk(), &case.program, &case.shared)
-            .map_err(|e| fail(who("det-a", model, 200), e))?;
-        let b = run_engine(mk(), &case.program, &case.shared)
-            .map_err(|e| fail(who("det-b", model, 200), e))?;
-        report.engine_runs += 2;
-        if a.result.cycles != b.result.cycles || a.threads != b.threads {
+        let engine_error =
+            |tag: &str, e: SimError| fail(who(tag, model, 200), format!("engine error: {e}"));
+        let a = runner
+            .run(mk(), var.ungrouped(), &case.shared)
+            .map_err(|e| engine_error("det-a", e))?;
+        let a_threads = runner.thread_images();
+        let b = runner
+            .run(mk(), var.ungrouped(), &case.shared)
+            .map_err(|e| engine_error("det-b", e))?;
+        if a.result.cycles != b.result.cycles || !runner.threads().eq(a_threads.iter().map(view)) {
             return Err(fail(
                 who("determinism", model, 200),
                 format!("repeated run diverged: {} vs {} cycles", a.result.cycles, b.result.cycles),
@@ -273,74 +394,73 @@ fn check_split(
 
     // Fault-injected runs: drops/delays/duplicates change traffic and
     // timing, never architecture.
-    let fault_grid: [(SwitchModel, &Program, &str); 4] = [
-        (SwitchModel::SwitchOnLoad, &case.program, "fault-ungrouped"),
-        (SwitchModel::ExplicitSwitch, &grouped, "fault-grouped"),
-        (SwitchModel::ConditionalSwitch, &grouped, "fault-grouped"),
+    let fault_grid: [(SwitchModel, &Image, &str); 4] = [
+        (SwitchModel::SwitchOnLoad, var.ungrouped(), "fault-ungrouped"),
+        (SwitchModel::ExplicitSwitch, var.grouped(), "fault-grouped"),
+        (SwitchModel::ConditionalSwitch, var.grouped(), "fault-grouped"),
         // The most aggressive pipeline must also survive an unreliable
         // network (use-miss switching makes progress at any latency).
-        (SwitchModel::SwitchOnUseMiss, &interp, "fault-opt"),
+        (SwitchModel::SwitchOnUseMiss, var.pipelined(), "fault-opt"),
     ];
-    for (i, (model, prog, tag)) in fault_grid.into_iter().enumerate() {
+    for (i, (model, image, tag)) in fault_grid.into_iter().enumerate() {
         let seed = Rng::derive(fault_seed, "fault-run").next_u64().wrapping_add(i as u64);
         let cfg = MachineConfig::new(model, procs, tpp)
             .with_latency(200)
             .with_faults(fault_profile(seed));
-        let run = run_engine(cfg, prog, &case.shared).map_err(|e| fail(who(tag, model, 200), e))?;
-        report.engine_runs += 1;
-        compare(&oracle, &run, case.regs_comparable).map_err(|d| fail(who(tag, model, 200), d))?;
+        check(runner, cfg, image, &|| who(tag, model, 200))?;
     }
 
     // Network-topology runs (PR 4): a modeled interconnect — queueing,
     // routing, combining — changes timing, never results. Every contention
     // topology must still match the oracle byte-for-byte. (`Constant` is
     // already the whole grid above: an inactive network is the identity.)
-    let net_grid: [(Topology, bool, SwitchModel, &Program); 4] = [
-        (Topology::Crossbar, false, SwitchModel::SwitchOnLoad, &case.program),
-        (Topology::Mesh, false, SwitchModel::SwitchOnLoad, &case.program),
-        (Topology::Butterfly, false, SwitchModel::SwitchOnLoad, &case.program),
-        (Topology::Butterfly, true, SwitchModel::ExplicitSwitch, &grouped),
+    let net_grid: [(Topology, bool, SwitchModel, &Image); 4] = [
+        (Topology::Crossbar, false, SwitchModel::SwitchOnLoad, var.ungrouped()),
+        (Topology::Mesh, false, SwitchModel::SwitchOnLoad, var.ungrouped()),
+        (Topology::Butterfly, false, SwitchModel::SwitchOnLoad, var.ungrouped()),
+        (Topology::Butterfly, true, SwitchModel::ExplicitSwitch, var.grouped()),
     ];
-    for (topology, combining, model, prog) in net_grid {
-        let label = format!(
-            "n={n} p={procs} t={tpp} net-{topology}{} {} lat=200",
-            if combining { "+comb" } else { "" },
-            model.name()
-        );
+    for (topology, combining, model, image) in net_grid {
+        let label = || {
+            format!(
+                "n={n} p={procs} t={tpp} net-{topology}{} {} lat=200",
+                if combining { "+comb" } else { "" },
+                model.name()
+            )
+        };
         let cfg = MachineConfig::new(model, procs, tpp)
             .with_latency(200)
             .with_net(NetworkConfig::new(topology).with_combining(combining));
-        let run = run_engine(cfg, prog, &case.shared).map_err(|e| fail(label.clone(), e))?;
-        report.engine_runs += 1;
-        compare(&oracle, &run, case.regs_comparable).map_err(|d| fail(label, d))?;
+        check(runner, cfg, image, &label)?;
     }
 
     Ok(())
-}
-
-pub(crate) fn run_engine(
-    mut cfg: MachineConfig,
-    prog: &Program,
-    shared: &mtsim_mem::SharedMemory,
-) -> Result<FinishedRun, String> {
-    cfg.max_cycles = MAX_CYCLES;
-    cfg.try_validate()?;
-    Machine::new(cfg, prog, shared.clone()).run().map_err(|e| format!("engine error: {e}"))
 }
 
 /// Compares an engine run against the oracle: full shared memory always;
 /// registers, FP bit patterns, and local memory when the case is
 /// interleaving-independent at the register level.
 pub fn compare(oracle: &OracleRun, run: &FinishedRun, regs_comparable: bool) -> Result<(), String> {
-    if oracle.shared.len() != run.shared.len() {
+    compare_state(oracle, &run.shared, run.threads.iter().map(view), regs_comparable)
+}
+
+/// [`compare`] over a run's final shared memory and a view of its
+/// threads' final states (e.g. read from a parked machine).
+pub(crate) fn compare_state<'a>(
+    oracle: &OracleRun,
+    shared: &SharedMemory,
+    threads: impl ExactSizeIterator<Item = ThreadView<'a>>,
+    regs_comparable: bool,
+) -> Result<(), String> {
+    if oracle.shared.len() != shared.len() {
         return Err(format!(
             "shared size diverged: oracle {} vs engine {} words",
             oracle.shared.len(),
-            run.shared.len()
+            shared.len()
         ));
     }
     for addr in 0..oracle.shared.len() {
-        let (o, e) = (oracle.shared.read(addr), run.shared.read(addr));
+        let (o, e) = (oracle.shared.read(addr), shared.read(addr));
         if o != e {
             return Err(format!(
                 "shared[{addr}] diverged: oracle {o:#x} ({}) vs engine {e:#x} ({})",
@@ -351,14 +471,14 @@ pub fn compare(oracle: &OracleRun, run: &FinishedRun, regs_comparable: bool) -> 
     if !regs_comparable {
         return Ok(());
     }
-    if oracle.threads.len() != run.threads.len() {
+    if oracle.threads.len() != threads.len() {
         return Err(format!(
             "thread count diverged: oracle {} vs engine {}",
             oracle.threads.len(),
-            run.threads.len()
+            threads.len()
         ));
     }
-    for (t, (o, e)) in oracle.threads.iter().zip(run.threads.iter()).enumerate() {
+    for (t, (o, e)) in oracle.threads.iter().zip(threads).enumerate() {
         if let Some(r) = (0..o.regs.len()).find(|&r| o.regs[r] != e.regs[r]) {
             return Err(format!(
                 "thread {t} r{r} diverged: oracle {} vs engine {}",

@@ -244,6 +244,19 @@ mod tests {
         assert_ne!(case_seeds(0xB01, 8), a);
     }
 
+    /// The size of the differential grid is pinned: a change that makes
+    /// a campaign cheaper by checking less fails here. The totals were
+    /// recorded from the harness that prepared every image once per split.
+    #[test]
+    fn campaign_grid_size_is_pinned() {
+        let s = fuzz(FuzzConfig { cases: 25, seed: 0x5EED, jobs: 1, ..Default::default() });
+        assert!(s.passed(), "{}", s.report());
+        assert_eq!(
+            (s.cases, s.engine_runs, s.oracle_runs, s.opt_images, s.replay_cases),
+            (25, 5589, 80, 4, 5)
+        );
+    }
+
     #[test]
     fn small_campaign_passes() {
         let summary = fuzz(FuzzConfig { cases: 8, seed: 0xB00, jobs: 2, ..Default::default() });

@@ -10,7 +10,7 @@
 //! Replay programs contain no locks or barriers, so every model makes
 //! progress at every latency and nothing in the grid is skipped.
 
-use crate::diff::{fault_profile, run_engine, splits, CaseFailure};
+use crate::diff::{fault_profile, splits, CaseFailure, Image, Runner};
 use mtsim_core::{MachineConfig, NetworkConfig, SwitchModel, Topology};
 use mtsim_replay::{compile, synthesize, SynthConfig, TraceProgram};
 use mtsim_rng::Rng;
@@ -53,7 +53,9 @@ pub fn replay_program(seed: u64) -> TraceProgram {
 pub fn check_replay(seed: u64, fault_seed: u64) -> Result<ReplayReport, CaseFailure> {
     let tp = replay_program(seed);
     let n = tp.nthreads;
-    let mut report = ReplayReport::default();
+    let image = Image::new(tp.program.clone());
+    let shared = tp.shared();
+    let mut runner = Runner::default();
     let fail = |label: String, detail: String| CaseFailure { label, detail, nthreads: n };
 
     for (procs, tpp) in splits(n) {
@@ -61,9 +63,9 @@ pub fn check_replay(seed: u64, fault_seed: u64) -> Result<ReplayReport, CaseFail
             format!("replay seed={seed:#x} p={procs} t={tpp} {tag} {} lat={lat}", model.name())
         };
         let mut check = |cfg: MachineConfig, label: String| -> Result<(), CaseFailure> {
-            let run =
-                run_engine(cfg, &tp.program, &tp.shared()).map_err(|e| fail(label.clone(), e))?;
-            report.engine_runs += 1;
+            let run = runner
+                .run(cfg, &image, &shared)
+                .map_err(|e| fail(label.clone(), format!("engine error: {e}")))?;
             tp.verify(&run.shared).map_err(|d| fail(label, d))?;
             Ok(())
         };
@@ -97,7 +99,7 @@ pub fn check_replay(seed: u64, fault_seed: u64) -> Result<ReplayReport, CaseFail
         check(ncfg, who("trace-net", SwitchModel::SwitchOnUseMiss, 200))?;
     }
 
-    Ok(report)
+    Ok(ReplayReport { engine_runs: runner.runs })
 }
 
 #[cfg(test)]

@@ -4,7 +4,7 @@
 //! The builder-facing [`Inst`](mtsim_isa::Inst) enum is the right shape
 //! for assembling and validating programs, but the engine's hot loop
 //! needs per-instruction facts that `Inst` only yields through matches
-//! and allocating def/use queries (`int_uses` and friends return `Vec`s).
+//! and def/use iterators (`int_uses` and friends).
 //! [`DecodedProgram::decode`] resolves all of that **once per program**
 //! — at artifact-build time in `mtsim-sweep`'s cache — into a flat
 //! [`DInst`] table:
@@ -74,18 +74,9 @@ impl DInst {
     /// Decodes one instruction. Every field is derived through the
     /// `mtsim-isa` queries, so this cannot disagree with them.
     pub fn decode(inst: Inst) -> DInst {
-        let mut int_use_mask = 0u32;
-        for r in inst.int_uses() {
-            int_use_mask |= 1 << r.index();
-        }
-        let mut fp_use_mask = 0u32;
-        for f in inst.fp_uses() {
-            fp_use_mask |= 1 << f.index();
-        }
-        let mut fp_def_mask = 0u32;
-        for f in inst.fp_defs() {
-            fp_def_mask |= 1 << f.index();
-        }
+        let int_use_mask = inst.int_uses().fold(0u32, |m, r| m | 1 << r.index());
+        let fp_use_mask = inst.fp_uses().fold(0u32, |m, f| m | 1 << f.index());
+        let fp_def_mask = inst.fp_defs().fold(0u32, |m, f| m | 1 << f.index());
         let int_def = inst.int_def().map_or(0, |r| r.index() as u8);
         let resets_spin = matches!(
             inst,
@@ -248,6 +239,22 @@ impl DecodedProgram {
     pub fn insts(&self) -> &[DInst] {
         &self.insts
     }
+
+    /// True when both decodes share one table allocation.
+    pub(crate) fn shares_table(&self, other: &DecodedProgram) -> bool {
+        Arc::ptr_eq(&self.insts, &other.insts)
+    }
+
+    /// True when this table was decoded from exactly `program`'s
+    /// instructions, bit for bit (FP immediates `0.0` and `-0.0` differ).
+    pub(crate) fn same_code(&self, program: &Program) -> bool {
+        let bits = |i: Inst| match i {
+            Inst::FLi { fd, val } => (Inst::FLi { fd, val: 0.0 }, val.to_bits()),
+            i => (i, 0),
+        };
+        self.len() == program.len()
+            && self.insts.iter().zip(program.insts()).all(|(d, &i)| bits(d.inst) == bits(i))
+    }
 }
 
 #[cfg(test)]
@@ -314,8 +321,8 @@ mod tests {
         v
     }
 
-    /// The decoded fields must agree exactly with the allocating ISA
-    /// queries they replace, for every instruction shape.
+    /// The decoded fields must agree exactly with the ISA queries they
+    /// replace, for every instruction shape.
     #[test]
     fn decode_never_drifts_from_isa_queries() {
         for inst in all_shapes() {

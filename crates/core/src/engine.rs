@@ -91,9 +91,7 @@ enum StepOut {
 #[derive(Debug)]
 pub struct Machine {
     config: MachineConfig,
-    program: Program,
-    /// The pre-decoded form the hot loop actually executes (same length
-    /// as `program`; kept in lockstep by construction).
+    /// The pre-decoded program the hot loop executes.
     decoded: DecodedProgram,
     shared: SharedMemory,
     threads: Threads,
@@ -157,11 +155,9 @@ pub struct LeanRun {
 }
 
 /// Recyclable machine buffers: the per-thread state (dominated by each
-/// thread's local memory vector) and the program image from a finished
-/// run, keyed by a caller-chosen artifact identity. A worker thread that
-/// runs many same-shaped grid points keeps one of these; consecutive
-/// [`Machine::try_new_reusing`] / [`Machine::run_reusing`] pairs with a
-/// stable key then allocate no thread state and clone no program.
+/// thread's local memory vector) and the decoded program of a finished
+/// run. A caller that runs many machines in a row keeps one of these, so
+/// consecutive builds allocate no thread state and re-derive no decode.
 ///
 /// The scratch holds at most one parked machine — sweeps iterate grids
 /// in axis order, so consecutive jobs on a worker overwhelmingly share
@@ -170,9 +166,6 @@ pub struct LeanRun {
 pub struct MachineScratch {
     key: u64,
     threads: Threads,
-    program: Option<Program>,
-    /// Parked together with `program` (the key contract covers both: an
-    /// equal key implies the identical program, hence identical decode).
     decoded: Option<DecodedProgram>,
 }
 
@@ -182,10 +175,28 @@ impl MachineScratch {
         MachineScratch::default()
     }
 
-    /// The key of the currently parked buffers (0 = empty).
-    pub fn key(&self) -> u64 {
-        self.key
+    /// The final state of every thread of the run last parked here,
+    /// indexed by thread id; empty when nothing is parked.
+    pub fn threads(&self) -> impl ExactSizeIterator<Item = ThreadView<'_>> {
+        let parked = if self.key != 0 { &self.threads.cold[..] } else { &[] };
+        parked.iter().map(|t| ThreadView {
+            regs: &t.regs,
+            fregs: t.fregs.map(f64::to_bits),
+            local: &t.local,
+        })
     }
+}
+
+/// A [`ThreadImage`]'s content borrowed from parked buffers, without
+/// copying local memory.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ThreadView<'a> {
+    /// Integer registers (`r0` always zero).
+    pub regs: &'a [i64; mtsim_isa::Reg::COUNT],
+    /// FP registers as IEEE-754 bit patterns.
+    pub fregs: [u64; mtsim_isa::FReg::COUNT],
+    /// Local (private) memory words.
+    pub local: &'a [u64],
 }
 
 impl Machine {
@@ -220,19 +231,15 @@ impl Machine {
     }
 
     /// Builds a machine like [`Machine::try_new`], but recycling the
-    /// allocation-heavy buffers (per-thread local memories, the program
-    /// image) parked in `scratch` by a previous [`Machine::run_reusing`]
-    /// call when the caller-chosen `key` matches. Returns the machine and
-    /// whether buffers were actually reused.
+    /// buffers parked in `scratch` by a previous [`Machine::run_reusing`].
+    /// Returns the machine and whether the parked decode was reused.
     ///
-    /// The key contract: **equal non-zero keys imply an identical
-    /// program.** Shape (thread count, local words) is re-derived from
-    /// `config`/`program` either way, so a colliding key with a
-    /// different shape costs allocations, never correctness — but a
-    /// colliding key with a *different program* would silently run the
-    /// wrong code. Key 0 never reuses (and never stashes a reusable
-    /// program identity), which is how [`Machine::try_new`] gets the
-    /// allocate-fresh behavior.
+    /// The key is only a hint: the parked decode is reused when `key` is
+    /// non-zero, equals the parked key, **and** the decode was made from
+    /// exactly `program`'s instructions, so a colliding key costs a
+    /// decode, never correctness. Parked thread buffers are always
+    /// recycled — every build resets them to a fresh machine's state.
+    /// Key 0 never reuses a decode and never parks.
     ///
     /// # Errors
     ///
@@ -255,7 +262,8 @@ impl Machine {
     /// (an `Arc` bump) rather than re-deriving it.
     ///
     /// `decoded` must be the decode of `program`; the pairing is the
-    /// caller's contract, checked under `debug-invariants`.
+    /// caller's contract, checked under `debug-invariants`. A parked
+    /// decode is reused only if it shares `decoded`'s table allocation.
     ///
     /// # Errors
     ///
@@ -283,23 +291,23 @@ impl Machine {
         config.try_validate().map_err(|detail| SimError::Config { detail })?;
         let nthreads = config.total_threads();
         let local_words = config.local_mem_words.max(program.local_words());
-        let reused = key != 0 && scratch.key == key && scratch.program.is_some();
-        let (program, decoded, mut threads) = if reused {
-            let program = scratch.program.take().expect("key match implies a stashed program");
-            let decoded = scratch.decoded.take().expect("program and decode are parked together");
-            scratch.key = 0;
-            (program, decoded, std::mem::take(&mut scratch.threads))
-        } else {
-            let program = program.clone();
-            let decoded = predecoded.cloned().unwrap_or_else(|| DecodedProgram::decode(&program));
-            (program, decoded, Threads::new())
-        };
+        let parked = scratch.decoded.take().filter(|d| {
+            key != 0
+                && scratch.key == key
+                && predecoded.map_or_else(|| d.same_code(program), |given| d.shares_table(given))
+        });
+        scratch.key = 0;
+        let reused = parked.is_some();
+        let decoded = parked
+            .or_else(|| predecoded.cloned())
+            .unwrap_or_else(|| DecodedProgram::decode(program));
         #[cfg(feature = "debug-invariants")]
         assert_eq!(
             decoded.len(),
             program.len(),
             "decoded program does not match the program image"
         );
+        let mut threads = std::mem::take(&mut scratch.threads);
         threads.reset(nthreads, local_words);
         let procs = (0..config.processors)
             .map(|p| Proc {
@@ -320,7 +328,6 @@ impl Machine {
             .then(|| Network::new(config.net, config.processors, config.latency));
         let machine = Machine {
             config,
-            program,
             decoded,
             shared,
             threads,
@@ -388,7 +395,7 @@ impl Machine {
     ///
     /// Exactly as [`Machine::run`].
     pub fn run_with<R: Recorder>(self, rec: &mut R) -> Result<FinishedRun, SimError> {
-        let (result, shared, threads, _, _) = self.run_to_completion(rec)?;
+        let (result, shared, threads, _) = self.run_to_completion(rec)?;
         let threads = threads
             .cold
             .into_iter()
@@ -398,17 +405,10 @@ impl Machine {
     }
 
     /// Runs to completion like [`Machine::run_with`], then parks the
-    /// machine's reusable buffers in `scratch` under `key` so the next
-    /// [`Machine::try_new_reusing`] call with the same key skips the
-    /// per-thread allocations and the program clone. Returns a
-    /// [`LeanRun`] — statistics plus final shared memory, without the
-    /// per-thread architectural images (their buffers are what gets
-    /// recycled). Orchestration layers that only verify shared memory
-    /// use this; `mtsim-check`'s state comparisons need
-    /// [`Machine::run_with`].
-    ///
-    /// On error nothing is stashed: the failed machine's buffers are
-    /// simply dropped, and `scratch` keeps whatever it held before.
+    /// machine's buffers in `scratch` under `key` for the next build.
+    /// Returns statistics plus final shared memory; the threads' final
+    /// state stays parked, readable through [`MachineScratch::threads`].
+    /// On error nothing is parked.
     ///
     /// # Errors
     ///
@@ -419,11 +419,10 @@ impl Machine {
         key: u64,
         scratch: &mut MachineScratch,
     ) -> Result<LeanRun, SimError> {
-        let (result, shared, threads, program, decoded) = self.run_to_completion(rec)?;
+        let (result, shared, threads, decoded) = self.run_to_completion(rec)?;
         if key != 0 {
             scratch.key = key;
             scratch.threads = threads;
-            scratch.program = Some(program);
             scratch.decoded = Some(decoded);
         }
         Ok(LeanRun { result, shared })
@@ -435,7 +434,7 @@ impl Machine {
     fn run_to_completion<R: Recorder>(
         mut self,
         rec: &mut R,
-    ) -> Result<(RunResult, SharedMemory, Threads, Program, DecodedProgram), SimError> {
+    ) -> Result<(RunResult, SharedMemory, Threads, DecodedProgram), SimError> {
         let mut events = EventQueue::new();
         for p in 0..self.procs.len() {
             events.push(0, p);
@@ -535,7 +534,7 @@ impl Machine {
             trace: self.trace,
             net: self.net.as_ref().map(|n| n.stats()),
         };
-        Ok((result, self.shared, self.threads, self.program, self.decoded))
+        Ok((result, self.shared, self.threads, self.decoded))
     }
 
     /// Executes processor `p` from its current time until it must hand
@@ -548,7 +547,6 @@ impl Machine {
     ) -> Result<StepOut, SimError> {
         // Split borrows once for the whole batch.
         let config = &self.config;
-        let program = &self.program;
         let decoded = &self.decoded;
         let shared = &mut self.shared;
         let ths = &mut self.threads;
@@ -774,13 +772,13 @@ impl Machine {
             }
 
             let pc = ths.cold[tid].pc;
-            if pc as usize >= program.len() {
+            if pc as usize >= decoded.len() {
                 return Err(SimError::BadProgram {
                     thread: tid,
                     pc: pc as u64,
                     detail: format!(
                         "program counter ran past the end of the code ({} instructions)",
-                        program.len()
+                        decoded.len()
                     ),
                 });
             }
@@ -937,7 +935,6 @@ impl Machine {
         rec: &mut R,
     ) -> Result<StepOut, SimError> {
         let config = &self.config;
-        let program = &self.program;
         let decoded = &self.decoded;
         let shared = &mut self.shared;
         let ths = &mut self.threads;
@@ -1009,13 +1006,13 @@ impl Machine {
                     continue;
                 }
                 let pc = ths.cold[tid].pc;
-                if pc as usize >= program.len() {
+                if pc as usize >= decoded.len() {
                     return Err(SimError::BadProgram {
                         thread: tid,
                         pc: pc as u64,
                         detail: format!(
                             "program counter ran past the end of the code ({} instructions)",
-                            program.len()
+                            decoded.len()
                         ),
                     });
                 }

@@ -49,7 +49,7 @@ mod stats;
 mod thread;
 
 pub use decode::{DInst, DecodedProgram, F_RESETS_SPIN, F_SHARED_ACCESS};
-pub use engine::{FinishedRun, LeanRun, Machine, MachineScratch, ThreadImage};
+pub use engine::{FinishedRun, LeanRun, Machine, MachineScratch, ThreadImage, ThreadView};
 pub use events::EventQueue;
 pub use model::{MachineConfig, SwitchModel, DEFAULT_SMT_WIDTH};
 pub use stats::{DeadlockWaiter, ProcStats, RunLengthHist, RunResult, RunStats, SimError};

@@ -105,11 +105,6 @@ pub(crate) struct Threads {
 }
 
 impl Threads {
-    /// An empty population; the first [`Threads::reset`] allocates.
-    pub fn new() -> Threads {
-        Threads::default()
-    }
-
     /// Number of threads.
     pub fn len(&self) -> usize {
         self.cold.len()
@@ -474,7 +469,7 @@ mod tests {
 
     #[test]
     fn soa_reset_matches_a_fresh_population() {
-        let mut ths = Threads::new();
+        let mut ths = Threads::default();
         ths.reset(4, 8);
         assert_eq!(ths.len(), 4);
         // Dirty hot and cold state, including tails that must shrink away.
@@ -484,7 +479,7 @@ mod tests {
         ths.cold[0].pc = 9;
         ths.cold[0].rset(Reg::new(7), 1);
         ths.reset(2, 8);
-        let mut fresh = Threads::new();
+        let mut fresh = Threads::default();
         fresh.reset(2, 8);
         assert_eq!(format!("{ths:?}"), format!("{fresh:?}"));
         // Growing again re-derives tids for the new tail threads.

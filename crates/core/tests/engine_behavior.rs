@@ -60,6 +60,111 @@ fn scratch_reuse_is_bit_identical_to_fresh_machines() {
     assert!(!reused, "a different key must not reuse");
 }
 
+/// `1.0 / ±0.0` stored to `shared[0]`: two programs whose only
+/// difference is an FP immediate equal under `==`.
+fn signed_zero_program(zero: f64) -> Program {
+    use mtsim_isa::{FReg, FpuOp, Inst, Reg, Space};
+    let (f1, f2, f3) = (FReg::new(1), FReg::new(2), FReg::new(3));
+    Program::from_raw_parts(
+        "signed-zero",
+        vec![
+            Inst::FLi { fd: f1, val: zero },
+            Inst::FLi { fd: f2, val: 1.0 },
+            Inst::Fpu { op: FpuOp::Div, fd: f3, fs: f2, ft: f1 },
+            Inst::FStore { space: Space::Shared, fs: f3, base: Reg::ZERO, offset: 0 },
+            Inst::Halt,
+        ],
+    )
+}
+
+#[test]
+fn colliding_scratch_keys_never_run_the_wrong_program() {
+    use mtsim_core::{DecodedProgram, MachineScratch, NoopRecorder};
+    let cfg = || MachineConfig::new(SwitchModel::SwitchOnLoad, 1, 1);
+    let fresh = |prog: &Program| {
+        Machine::new(cfg(), prog, SharedMemory::new(128)).run().expect("fresh").shared.read(0)
+    };
+    let (pos, neg) = (signed_zero_program(0.0), signed_zero_program(-0.0));
+    let kernel = load_compute_kernel(10, 2);
+    assert_ne!(fresh(&pos), fresh(&neg));
+
+    // Caller-decoded: identity is the decode table, not the key.
+    let mut scratch = MachineScratch::new();
+    for prog in [&pos, &neg, &kernel, &pos] {
+        let decoded = DecodedProgram::decode(prog);
+        let (m, reused) = Machine::try_new_predecoded(
+            cfg(),
+            prog,
+            &decoded,
+            SharedMemory::new(128),
+            7,
+            &mut scratch,
+        )
+        .expect("build");
+        assert!(!reused, "a fresh decode under a parked key must not reuse");
+        let lean = m.run_reusing(&mut NoopRecorder, 7, &mut scratch).expect("run");
+        assert_eq!(lean.shared.read(0), fresh(prog), "{}", prog.name());
+    }
+
+    // Engine-decoded: identity is the code, compared bit for bit.
+    let mut scratch = MachineScratch::new();
+    for (prog, reuses) in [(&pos, false), (&neg, false), (&neg, true), (&pos, false)] {
+        let (m, reused) =
+            Machine::try_new_reusing(cfg(), prog, SharedMemory::new(128), 7, &mut scratch)
+                .expect("build");
+        assert_eq!(reused, reuses);
+        let lean = m.run_reusing(&mut NoopRecorder, 7, &mut scratch).expect("run");
+        assert_eq!(lean.shared.read(0), fresh(prog));
+    }
+}
+
+#[test]
+fn scratch_reuse_matches_fresh_runs_across_alternating_images() {
+    use mtsim_core::{DecodedProgram, MachineScratch, NoopRecorder, ThreadView};
+    let a = load_compute_kernel(30, 2);
+    // `b` leaves local memory dirty, so a reused `a` after it must start
+    // from zeroed locals again.
+    let b = {
+        let mut b = ProgramBuilder::new("locals");
+        b.for_range("i", 0, 16, |b, i| {
+            let v = b.load_shared(i.get());
+            b.store_local(i.get(), v + b.tid() + 1);
+        });
+        group_shared_loads(&b.finish()).program
+    };
+    let (da, db) = (DecodedProgram::decode(&a), DecodedProgram::decode(&b));
+    let mut scratch = MachineScratch::new();
+    // (image, decode, procs, threads per proc, expect a reused decode)
+    let runs = [
+        (&a, &da, 2, 2, false),
+        (&a, &da, 1, 3, true),
+        (&b, &db, 2, 1, false),
+        (&a, &da, 4, 1, false),
+    ];
+    for (i, (prog, decoded, p, t, reuses)) in runs.into_iter().enumerate() {
+        let cfg = || MachineConfig::new(SwitchModel::ExplicitSwitch, p, t).with_latency(50);
+        let fresh = Machine::new(cfg(), prog, SharedMemory::new(128)).run().expect("fresh");
+        let (m, reused) = Machine::try_new_predecoded(
+            cfg(),
+            prog,
+            decoded,
+            SharedMemory::new(128),
+            1,
+            &mut scratch,
+        )
+        .expect("build");
+        assert_eq!(reused, reuses, "run {i}");
+        let lean = m.run_reusing(&mut NoopRecorder, 1, &mut scratch).expect("run");
+        assert_eq!(format!("{:?}", lean.result), format!("{:?}", fresh.result), "run {i}");
+        assert_eq!(format!("{:?}", lean.shared), format!("{:?}", fresh.shared), "run {i}");
+        let views: Vec<_> = scratch.threads().collect();
+        let want: Vec<_> = (fresh.threads.iter())
+            .map(|t| ThreadView { regs: &t.regs, fregs: t.fregs, local: &t.local })
+            .collect();
+        assert_eq!(views, want, "run {i}");
+    }
+}
+
 #[test]
 fn ideal_model_has_full_utilization_single_thread() {
     let prog = load_compute_kernel(50, 4);

@@ -278,36 +278,25 @@ impl Inst {
         }
     }
 
-    /// Integer registers read by this instruction.
-    pub fn int_uses(&self) -> Vec<Reg> {
-        let mut v = Vec::with_capacity(2);
-        match *self {
-            Inst::Alu { rs, rt, .. } => {
-                v.push(rs);
-                v.push(rt);
+    /// Integer registers read by this instruction, in operand order (a
+    /// register named twice is yielded twice), `r0` excluded. Allocation-free.
+    pub fn int_uses(&self) -> impl Iterator<Item = Reg> {
+        let uses = match *self {
+            Inst::Alu { rs, rt, .. } | Inst::Branch { rs, rt, .. } => [Some(rs), Some(rt)],
+            Inst::Store { rs, base, .. } | Inst::FetchAdd { rs, base, .. } => {
+                [Some(rs), Some(base)]
             }
-            Inst::AluI { rs, .. } => v.push(rs),
-            Inst::CvtIF { rs, .. } | Inst::MovIF { rs, .. } => v.push(rs),
-            Inst::Load { base, .. } | Inst::FLoad { base, .. } | Inst::LoadPair { base, .. } => {
-                v.push(base)
+            Inst::AluI { rs, .. } | Inst::CvtIF { rs, .. } | Inst::MovIF { rs, .. } => {
+                [Some(rs), None]
             }
-            Inst::Store { rs, base, .. } => {
-                v.push(rs);
-                v.push(base);
-            }
-            Inst::FStore { base, .. } | Inst::StorePair { base, .. } => v.push(base),
-            Inst::FetchAdd { rs, base, .. } => {
-                v.push(rs);
-                v.push(base);
-            }
-            Inst::Branch { rs, rt, .. } => {
-                v.push(rs);
-                v.push(rt);
-            }
-            _ => {}
-        }
-        v.retain(|r| !r.is_zero());
-        v
+            Inst::Load { base, .. }
+            | Inst::FLoad { base, .. }
+            | Inst::LoadPair { base, .. }
+            | Inst::FStore { base, .. }
+            | Inst::StorePair { base, .. } => [Some(base), None],
+            _ => [None, None],
+        };
+        uses.into_iter().flatten().filter(|r| !r.is_zero())
     }
 
     /// Integer register written by this instruction, if any. `LoadPair`
@@ -326,29 +315,35 @@ impl Inst {
         (!rd.is_zero()).then_some(rd)
     }
 
-    /// FP registers read by this instruction.
-    pub fn fp_uses(&self) -> Vec<FReg> {
-        match *self {
-            Inst::Fpu { fs, ft, .. } | Inst::FpuCmp { fs, ft, .. } => vec![fs, ft],
-            Inst::CvtFI { fs, .. } | Inst::MovFI { fs, .. } | Inst::FStore { fs, .. } => vec![fs],
-            Inst::FSqrt { fs, .. } => vec![fs],
-            Inst::StorePair { fs1, fs2, .. } => vec![fs1, fs2],
-            _ => Vec::new(),
-        }
+    /// FP registers read by this instruction, in operand order.
+    /// Allocation-free.
+    pub fn fp_uses(&self) -> impl Iterator<Item = FReg> {
+        let uses = match *self {
+            Inst::Fpu { fs, ft, .. } | Inst::FpuCmp { fs, ft, .. } => [Some(fs), Some(ft)],
+            Inst::CvtFI { fs, .. }
+            | Inst::MovFI { fs, .. }
+            | Inst::FStore { fs, .. }
+            | Inst::FSqrt { fs, .. } => [Some(fs), None],
+            Inst::StorePair { fs1, fs2, .. } => [Some(fs1), Some(fs2)],
+            _ => [None, None],
+        };
+        uses.into_iter().flatten()
     }
 
-    /// FP registers written by this instruction.
-    pub fn fp_defs(&self) -> Vec<FReg> {
-        match *self {
+    /// FP registers written by this instruction, in operand order.
+    /// Allocation-free.
+    pub fn fp_defs(&self) -> impl Iterator<Item = FReg> {
+        let defs = match *self {
             Inst::Fpu { fd, .. }
             | Inst::FLi { fd, .. }
             | Inst::CvtIF { fd, .. }
             | Inst::MovIF { fd, .. }
             | Inst::FSqrt { fd, .. }
-            | Inst::FLoad { fd, .. } => vec![fd],
-            Inst::LoadPair { fd1, fd2, .. } => vec![fd1, fd2],
-            _ => Vec::new(),
-        }
+            | Inst::FLoad { fd, .. } => [Some(fd), None],
+            Inst::LoadPair { fd1, fd2, .. } => [Some(fd1), Some(fd2)],
+            _ => [None, None],
+        };
+        defs.into_iter().flatten()
     }
 }
 
@@ -397,20 +392,99 @@ mod tests {
         assert!(fa.is_shared_read() && fa.is_shared_access());
     }
 
+    /// Every instruction shape against the def/use lists the ISA defines
+    /// for it: operand order, repeats, and the `r0` filter.
     #[test]
-    fn def_use_sets() {
-        let i = Inst::Alu { op: AluOp::Add, rd: Reg::new(8), rs: Reg::new(9), rt: Reg::new(10) };
-        assert_eq!(i.int_uses(), vec![Reg::new(9), Reg::new(10)]);
-        assert_eq!(i.int_def(), Some(Reg::new(8)));
-
-        // r0 never appears in def/use sets.
-        let z = Inst::AluI { op: AluOp::Add, rd: Reg::ZERO, rs: Reg::ZERO, imm: 1 };
-        assert!(z.int_uses().is_empty());
-        assert_eq!(z.int_def(), None);
+    fn def_use_queries_yield_operands_in_order() {
+        let (a, b, c) = (Reg::new(8), Reg::new(9), Reg::new(10));
+        let (f, g, h) = (FReg::new(1), FReg::new(2), FReg::new(3));
+        let z = Reg::ZERO;
+        let data = AccessHint::Data;
+        // (instruction, int uses, fp uses, fp defs)
+        type Case = (Inst, Vec<Reg>, Vec<FReg>, Vec<FReg>);
+        let mut cases: Vec<Case> = vec![
+            (Inst::Alu { op: AluOp::Add, rd: a, rs: b, rt: c }, vec![b, c], vec![], vec![]),
+            (Inst::Alu { op: AluOp::Sub, rd: a, rs: c, rt: c }, vec![c, c], vec![], vec![]),
+            (Inst::Alu { op: AluOp::Add, rd: z, rs: z, rt: b }, vec![b], vec![], vec![]),
+            (Inst::AluI { op: AluOp::Add, rd: a, rs: b, imm: 1 }, vec![b], vec![], vec![]),
+            (Inst::AluI { op: AluOp::Add, rd: z, rs: z, imm: 1 }, vec![], vec![], vec![]),
+            (Inst::Fpu { op: FpuOp::Mul, fd: f, fs: g, ft: h }, vec![], vec![g, h], vec![f]),
+            (Inst::FpuCmp { op: CmpOp::Lt, rd: a, fs: h, ft: g }, vec![], vec![h, g], vec![]),
+            (Inst::FLi { fd: f, val: 2.5 }, vec![], vec![], vec![f]),
+            (Inst::CvtIF { fd: f, rs: b }, vec![b], vec![], vec![f]),
+            (Inst::CvtFI { rd: a, fs: g }, vec![], vec![g], vec![]),
+            (Inst::MovIF { fd: f, rs: b }, vec![b], vec![], vec![f]),
+            (Inst::MovFI { rd: a, fs: g }, vec![], vec![g], vec![]),
+            (Inst::FSqrt { fd: f, fs: g }, vec![], vec![g], vec![f]),
+            (
+                Inst::FetchAdd { rd: a, rs: b, base: c, offset: 0, hint: data },
+                vec![b, c],
+                vec![],
+                vec![],
+            ),
+            (
+                Inst::Branch { cond: BCond::Ne, rs: c, rt: b, target: Target::Pc(0) },
+                vec![c, b],
+                vec![],
+                vec![],
+            ),
+            (Inst::Jump { target: Target::Pc(0) }, vec![], vec![], vec![]),
+            (Inst::SetPrio { level: 1 }, vec![], vec![], vec![]),
+            (Inst::Switch, vec![], vec![], vec![]),
+            (Inst::Halt, vec![], vec![], vec![]),
+            (Inst::Nop, vec![], vec![], vec![]),
+        ];
+        for space in [Space::Local, Space::Shared] {
+            cases.extend([
+                (
+                    Inst::Load { space, rd: a, base: b, offset: 1, hint: data },
+                    vec![b],
+                    vec![],
+                    vec![],
+                ),
+                (
+                    Inst::Store { space, rs: a, base: b, offset: 1, hint: data },
+                    vec![a, b],
+                    vec![],
+                    vec![],
+                ),
+                (
+                    Inst::Store { space, rs: z, base: b, offset: 1, hint: data },
+                    vec![b],
+                    vec![],
+                    vec![],
+                ),
+                (Inst::FLoad { space, fd: f, base: b, offset: 0 }, vec![b], vec![], vec![f]),
+                (Inst::FStore { space, fs: g, base: b, offset: 0 }, vec![b], vec![g], vec![]),
+                (
+                    Inst::LoadPair { space, fd1: g, fd2: f, base: b, offset: 0 },
+                    vec![b],
+                    vec![],
+                    vec![g, f],
+                ),
+                (
+                    Inst::StorePair { space, fs1: h, fs2: g, base: b, offset: 0 },
+                    vec![b],
+                    vec![h, g],
+                    vec![],
+                ),
+            ]);
+        }
+        for (inst, int_uses, fp_uses, fp_defs) in cases {
+            assert_eq!(inst.int_uses().collect::<Vec<_>>(), int_uses, "{inst:?}");
+            assert_eq!(inst.fp_uses().collect::<Vec<_>>(), fp_uses, "{inst:?}");
+            assert_eq!(inst.fp_defs().collect::<Vec<_>>(), fp_defs, "{inst:?}");
+        }
     }
 
     #[test]
-    fn pair_defs_are_fp() {
+    fn int_defs() {
+        let i = Inst::Alu { op: AluOp::Add, rd: Reg::new(8), rs: Reg::new(9), rt: Reg::new(10) };
+        assert_eq!(i.int_def(), Some(Reg::new(8)));
+        // r0 is never a def.
+        let z = Inst::AluI { op: AluOp::Add, rd: Reg::ZERO, rs: Reg::ZERO, imm: 1 };
+        assert_eq!(z.int_def(), None);
+        // `LoadPair` writes FP registers only.
         let lp = Inst::LoadPair {
             space: Space::Shared,
             fd1: FReg::new(1),
@@ -419,8 +493,6 @@ mod tests {
             offset: 0,
         };
         assert_eq!(lp.int_def(), None);
-        assert_eq!(lp.fp_defs(), vec![FReg::new(1), FReg::new(2)]);
-        assert_eq!(lp.int_uses(), vec![Reg::new(8)]);
     }
 
     #[test]

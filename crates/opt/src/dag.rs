@@ -94,29 +94,24 @@ impl Dag {
         };
 
         for (i, inst) in insts.iter().enumerate() {
-            let uses: Vec<usize> = inst
-                .int_uses()
-                .iter()
-                .map(|r| r.index())
-                .chain(inst.fp_uses().iter().map(|f| 32 + f.index()))
-                .collect();
-            let defs: Vec<usize> = inst
+            let uses =
+                inst.int_uses().map(|r| r.index()).chain(inst.fp_uses().map(|f| 32 + f.index()));
+            let defs = inst
                 .int_def()
-                .iter()
                 .map(|r| r.index())
-                .chain(inst.fp_defs().iter().map(|f| 32 + f.index()))
-                .collect();
+                .into_iter()
+                .chain(inst.fp_defs().map(|f| 32 + f.index()));
 
             // RAW: reading a value. Needs completion if producer is a
             // blocking read (the value arrives only after a Switch).
-            for &u in &uses {
+            for u in uses {
                 if let Some(d) = last_def[u] {
                     add_edge(&mut dag, d, i, is_blocking_read(&insts[d]));
                 }
                 readers_since_def[u].push(i);
             }
             // WAR / WAW on destinations.
-            for &d in &defs {
+            for d in defs {
                 for &r in &readers_since_def[d] {
                     if r != i {
                         // Overwriting after a read: plain ordering.

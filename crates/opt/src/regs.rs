@@ -8,26 +8,14 @@ use mtsim_isa::Inst;
 
 /// Mask of registers read by `inst`.
 pub(crate) fn use_mask(inst: &Inst) -> u64 {
-    let mut m = 0u64;
-    for r in inst.int_uses() {
-        m |= 1u64 << r.index();
-    }
-    for f in inst.fp_uses() {
-        m |= 1u64 << (32 + f.index());
-    }
-    m
+    let m = inst.int_uses().fold(0u64, |m, r| m | 1 << r.index());
+    inst.fp_uses().fold(m, |m, f| m | 1 << (32 + f.index()))
 }
 
 /// Mask of registers written by `inst`.
 pub(crate) fn def_mask(inst: &Inst) -> u64 {
-    let mut m = 0u64;
-    if let Some(r) = inst.int_def() {
-        m |= 1u64 << r.index();
-    }
-    for f in inst.fp_defs() {
-        m |= 1u64 << (32 + f.index());
-    }
-    m
+    let m = inst.int_def().map_or(0u64, |r| 1 << r.index());
+    inst.fp_defs().fold(m, |m, f| m | 1 << (32 + f.index()))
 }
 
 /// True for register-only compute instructions: no memory access, no

@@ -5,13 +5,19 @@
 //!
 //! * `job-<id>.spec` — the spec's canonical form (itself a parseable
 //!   spec file) plus a `# serve: priority=N` comment the spec parser
-//!   ignores. Written fsync'd before the submission is acknowledged:
-//!   once a client holds an id, the job exists.
+//!   ignores. Committed before the submission is acknowledged: once a
+//!   client holds an id, the job exists.
 //! * `job-<id>.jsonl` — the sweep's checkpoint stream (the PR-6
 //!   crash-safe format), appended fsync'd per completed grid point.
 //! * `job-<id>.json` — the final result table, byte-identical to what
 //!   `mtsim sweep --out` would have written for the same spec. Its
 //!   existence is the commit point: a job with a final file is done.
+//!
+//! Specs, final tables and cancel markers are committed by
+//! [`write_durable`]: written whole to `<name>.tmp`, synced, then renamed
+//! into place, so a file under its real name is always complete. A
+//! `kill -9` mid-write leaves only a `.tmp` file, which restart ignores
+//! (the next write of that name replaces it).
 //!
 //! Restart recovery derives everything from those files: a spec with a
 //! final file is `Done`; a `job-<id>.cancelled` marker pins a
@@ -141,8 +147,8 @@ impl JobStore {
         Ok((store, requeue))
     }
 
-    /// Persists a new job and returns its id. The spec file is fsync'd:
-    /// an acknowledged submission survives `kill -9`.
+    /// Persists a new job and returns its id. The spec file is committed
+    /// before this returns: an acknowledged submission survives `kill -9`.
     pub fn create(&mut self, spec: SweepSpec, priority: u8) -> io::Result<u64> {
         let id = self.next_id;
         self.next_id += 1;
@@ -207,11 +213,19 @@ fn parse_priority(spec_text: &str) -> u8 {
         .unwrap_or(0)
 }
 
-/// Writes a file and flushes it to stable storage before returning.
+/// Suffix of a file being written; renamed away when committed.
+const TMP_SUFFIX: &str = ".tmp";
+
+/// Commits a file atomically: writes `<path>.tmp`, flushes it to stable
+/// storage, then renames it over `path`. Readers (and a restart) see
+/// either no file or the complete one, never a torn write.
 pub fn write_durable(path: &Path, bytes: &[u8]) -> io::Result<()> {
-    let mut f = std::fs::File::create(path)?;
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(TMP_SUFFIX);
+    let mut f = std::fs::File::create(&tmp)?;
     f.write_all(bytes)?;
-    f.sync_data()
+    f.sync_data()?;
+    std::fs::rename(&tmp, path)
 }
 
 #[cfg(test)]
@@ -263,6 +277,70 @@ mod tests {
         // Ids keep growing past recovered ones.
         let (mut store, _) = JobStore::open(&dir).unwrap();
         assert_eq!(store.create(tiny_spec(), 0).unwrap(), gone + 1);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A `kill -9` in the middle of `write_durable` leaves a partial
+    /// `<name>.tmp` and no file under the real name.
+    fn tear(dir: &Path, name: &str, partial: &[u8]) {
+        std::fs::write(dir.join(format!("{name}{TMP_SUFFIX}")), partial).unwrap();
+    }
+
+    #[test]
+    fn torn_final_requeues_instead_of_reading_done() {
+        let dir = tmp_dir("torn-final");
+        let (mut store, _) = JobStore::open(&dir).unwrap();
+        let id = store.create(tiny_spec(), 3).unwrap();
+        drop(store);
+        tear(&dir, &format!("job-{id}.json"), b"{\"rows\":[");
+
+        let (store, requeue) = JobStore::open(&dir).unwrap();
+        assert_eq!(requeue, vec![(id, 3)]);
+        assert_eq!(store.get(id).unwrap().state, JobState::Queued);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn leftover_temp_specs_are_ignored() {
+        let dir = tmp_dir("torn-spec");
+        let (mut store, _) = JobStore::open(&dir).unwrap();
+        let id = store.create(tiny_spec(), 0).unwrap();
+        drop(store);
+        // A torn spec fails to parse; an empty one would parse as the
+        // default spec. Neither was acknowledged, so neither is a job.
+        tear(&dir, &format!("job-{}.spec", id + 1), b"apps=sie");
+        tear(&dir, &format!("job-{}.spec", id + 2), b"");
+
+        let (store, requeue) = JobStore::open(&dir).unwrap();
+        assert_eq!(requeue, vec![(id, 0)]);
+        assert_eq!(store.jobs().count(), 1, "no phantom jobs");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn store_reopens_and_commits_over_leftover_temp_files() {
+        let dir = tmp_dir("torn-reopen");
+        let (mut store, _) = JobStore::open(&dir).unwrap();
+        let id = store.create(tiny_spec(), 0).unwrap();
+        tear(&dir, &format!("job-{id}.json"), b"{");
+        tear(&dir, &format!("job-{}.spec", id + 1), b"");
+        drop(store);
+
+        let (mut store, _) = JobStore::open(&dir).unwrap();
+        // The next id is the torn spec's: committing it replaces the temp.
+        assert_eq!(store.create(tiny_spec(), 5).unwrap(), id + 1);
+        write_durable(Path::new(&store.final_path(id)), b"{}\n").unwrap();
+        drop(store);
+
+        let (store, requeue) = JobStore::open(&dir).unwrap();
+        assert_eq!(requeue, vec![(id + 1, 5)]);
+        assert_eq!(store.get(id).unwrap().state, JobState::Done);
+        assert_eq!(std::fs::read(store.final_path(id)).unwrap(), b"{}\n");
+        let names: Vec<String> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        assert!(names.iter().all(|n| !n.ends_with(TMP_SUFFIX)), "{names:?}");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -418,12 +418,11 @@ thread_local! {
 }
 
 /// Scratch-reuse key for a grid point: everything that determines the
-/// program *content* plus the address of the artifact actually run.
-/// Artifacts are deterministic functions of `(app, scale, nthreads,
-/// variant)` — where `variant` discriminates the base program, the
-/// grouped program, and each optimizer level — so even if an address
-/// gets recycled across evictions the colliding program bytes are
-/// identical and reuse stays sound.
+/// program *content* plus the address of the artifact actually run
+/// (`variant` discriminates the base program, the grouped program, and
+/// each optimizer level). The key is only a hint: the engine reuses a
+/// parked decode only when it is the very table the cache handed out,
+/// so a colliding key costs a rebuild, never the wrong program.
 fn scratch_key(spec: &JobSpec, program: &mtsim_asm::Program, variant: u8) -> u64 {
     let mut buf = Vec::with_capacity(64);
     buf.extend_from_slice(spec.app.name().as_bytes());
